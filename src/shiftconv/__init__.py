@@ -5,9 +5,6 @@ Submodules:
     coeffs     Hecke eigenvalue tables (weight-12 form and its symmetric square)
     charsums   composite character sums, closed forms and bound censuses
     circle     overlapping-interval circle-method approximant
-    transforms Voronoi integral transforms (Mellin-Barnes and Hankel)
-    pipeline   end-to-end shifted-convolution experiments
-    cli        experiment runner
 """
 
 __version__ = "0.1.0"

@@ -24,6 +24,17 @@ where mbar is the inverse of m mod q1.  The factor coming from the
 conjugated S is the mirror image of T1 with m replaced by -m (conjugation
 flips the sign of the Poisson phase).  T2 is the mod-q2 factor written out
 in t2_sum below.
+
+Each sum has one evaluator per use:
+    char_sum_S              direct double sum, the reference for any q;
+    char_sum_S_factored     per-prime product for q = q1 q2, used by the
+                            S census (at m1 = q1 it is the Kloosterman
+                            factor times the two-variable unit sum mod q2);
+    s_alpha_table           S(1, alpha, n, h; q) for all alpha at once,
+                            used by char_sum_T;
+    adolphson_sperber_grid  the two-variable unit sum mod q2 on the whole
+                            (h, n) grid, for exhaustive Adolphson-Sperber
+                            censuses.
 """
 
 from __future__ import annotations
@@ -31,29 +42,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 
 from .arith import PrimeModulus, kloosterman_table, unit_inverses, unit_residues
 from .errors import InvalidDivisor
 from .reports import ExperimentReport
-
-
-@dataclass(frozen=True)
-class CompositeModulus:
-    """q = q1 * q2 with q1, q2 distinct primes."""
-
-    q1: PrimeModulus
-    q2: PrimeModulus
-
-    def __post_init__(self):
-        if self.q1.p == self.q2.p:
-            raise ValueError("q1 and q2 must be distinct primes")
-
-    @property
-    def q(self) -> int:
-        return self.q1.p * self.q2.p
 
 
 @dataclass(frozen=True)
@@ -64,13 +58,11 @@ class SCharParams:
     m2: int
     n: int
     h: int
-    modulus: Union[CompositeModulus, int]
-
-    @property
-    def q(self) -> int:
-        return self.modulus.q if isinstance(self.modulus, CompositeModulus) else self.modulus
+    q: int
 
     def __post_init__(self):
+        if self.m1 < 1 or self.q < 1:
+            raise InvalidDivisor(f"need m1 >= 1 and q >= 1, got m1={self.m1}, q={self.q}")
         if self.q % self.m1 != 0:
             raise InvalidDivisor(f"m1={self.m1} does not divide q={self.q}")
 
@@ -123,6 +115,8 @@ def char_sum_S_factored(m1: int, m2: int, n: int, h: int, q1: int, q2: int) -> c
     the single prime p (p = q/m1), and reduces to 1 when p | m1 (then the
     b-sum is itself a Kloosterman sum).  Used by censuses; equals char_sum_S.
     """
+    if q1 == q2:
+        raise InvalidDivisor(f"q1 and q2 must be distinct primes, got {q1} twice")
     val = 1.0 + 0.0j
     for p, c in ((q1, q2), (q2, q1)):
         cb = pow(c, -1, p)
@@ -138,51 +132,14 @@ def char_sum_S_factored(m1: int, m2: int, n: int, h: int, q1: int, q2: int) -> c
     return val
 
 
-def char_sum_S_split(p: SCharParams) -> complex:
-    """The m1 = q1 factorization: a Kloosterman factor times a complete
-    two-variable unit sum mod q2; equals char_sum_S on the same parameters."""
-    if not isinstance(p.modulus, CompositeModulus):
-        raise InvalidDivisor("split form needs a CompositeModulus")
-    q1, q2 = p.modulus.q1.p, p.modulus.q2.p
-    if p.m1 != q1:
-        raise InvalidDivisor(f"split form needs m1 = q1, got m1={p.m1}")
-    q2b = pow(q2, -1, q1)
-    kt1 = kloosterman_table(q1)
-    front = kt1[(q2b * p.h) % q1, (-q2b * p.n) % q1]
-    return complex(front * adolphson_sperber_sum(p.h, p.n, p.m2, p.modulus.q1, p.modulus.q2))
-
-
-def adolphson_sperber_sum(
-    h: int, n: int, m2: int, q1: PrimeModulus, q2: PrimeModulus
-) -> complex:
-    """sum over units a, b mod q2 of e_{q2}(q1bar a h - q1bar abar n + b abar + m2 bbar).
-
-    Brute force over the (q2-1)^2 pairs; the b-sum is a Kloosterman sum,
-    which keeps the evaluation at O(q2^2).  Generic tuples (q2 not dividing
-    n m2) show |sum| of size about q2; degenerate tuples fall back to the
-    q2^{3/2} scale.
-    """
-    p1, p2 = q1.p, q2.p
-    if p1 == p2:
-        raise ValueError("q1 and q2 must differ")
-    q1b = pow(p1, -1, p2)
-    a = unit_residues(p2)
-    ab = unit_inverses(p2)
-    kt = kloosterman_table(p2)
-    phases = _eq_pow(p2, q1b * h * a - q1b * n * ab)
-    return complex(np.sum(phases * kt[ab, m2 % p2]))
-
-
-def adolphson_sperber_is_generic(n: int, m2: int, q2: PrimeModulus) -> bool:
-    """Branch classification: generic iff q2 divides neither n nor m2."""
-    return (n % q2.p != 0) and (m2 % q2.p != 0)
-
-
 def adolphson_sperber_grid(m2: int, q1: PrimeModulus, q2: PrimeModulus) -> np.ndarray:
     """All values of the two-variable unit sum on the full (h, n) grid mod q2.
 
-    Returns a q2 x q2 array indexed [h, n]; one einsum replaces q2^2 scalar
-    calls, which keeps exhaustive censuses cheap.
+    Entry [h, n] is the sum over units a, b mod q2 of
+        e_{q2}(q1bar a h - q1bar abar n + b abar + m2 bbar),
+    the mod-q2 factor of S at m1 = q1; the b-sum is a Kloosterman sum.
+    Returns a q2 x q2 array indexed [h, n]; one einsum fills the whole grid,
+    which keeps exhaustive censuses cheap.
     """
     p1, p2 = q1.p, q2.p
     q1b = pow(p1, -1, p2)
@@ -333,21 +290,19 @@ def _s_normalizer(q, m1, m2):
     return q / math.sqrt(m1) * math.sqrt(math.gcd(q // m1, m2))
 
 
-def bound_census(family, normalizer: str | None = None) -> ExperimentReport:
+def bound_census(family) -> ExperimentReport:
     """Sweep a family, recording |sum|, the bound-shape normalizer and their
     ratio per tuple; the summary carries the max ratio.
 
-    normalizer selects the bound shape; defaults follow the family type:
-      's_lemma'   : (q / sqrt(m1)) sqrt(gcd(q/m1, m2))
-      't_offdiag' : q1^{3/2} q1t^{3/2} q2^{5/2} gcd(m, q2)^{1/2}
-      't_diag'    : q1^{5/2} q2^{5/2} sqrt(gcd(m', q1 q2)), m = q1 m'
+    The bound shape follows the family:
+      S                   : (q / sqrt(m1)) sqrt(gcd(q/m1, m2))
+      T, diagonal=False   : q1^{3/2} q1t^{3/2} q2^{5/2} gcd(m, q2)^{1/2}
+      T, diagonal=True    : q1^{5/2} q2^{5/2} sqrt(gcd(m', q1 q2)), m = q1 m'
     """
     if isinstance(family, SCensusFamily):
         return _census_s(family)
     if isinstance(family, TCensusFamily):
-        if normalizer is None:
-            normalizer = "t_diag" if family.diagonal else "t_offdiag"
-        return _census_t(family, normalizer)
+        return _census_t(family)
     raise TypeError("unknown census family")
 
 
@@ -376,8 +331,9 @@ def _census_s(family: SCensusFamily) -> ExperimentReport:
     return rep.finalize()
 
 
-def _census_t(family: TCensusFamily, normalizer: str) -> ExperimentReport:
+def _census_t(family: TCensusFamily) -> ExperimentReport:
     cols = ["q1", "q1t", "q2", "n", "m", "h", "abs_sum", "normalizer", "ratio"]
+    normalizer = "t_diag" if family.diagonal else "t_offdiag"
     rep = ExperimentReport.for_config(
         cols, {"family": "T", "normalizer": normalizer, **family.__dict__}
     )
@@ -408,18 +364,16 @@ def _census_t(family: TCensusFamily, normalizer: str) -> ExperimentReport:
                                     vanish_passed += 1
                                 continue
                             v = abs(char_sum_T(params))
-                            if normalizer == "t_offdiag":
-                                norm = (
-                                    q1 ** 1.5 * q1t ** 1.5 * q2 ** 2.5
-                                    * math.sqrt(math.gcd(params.m, q2))
-                                )
-                            elif normalizer == "t_diag":
+                            if family.diagonal:
                                 norm = (
                                     q1 ** 2.5 * q2 ** 2.5
                                     * math.sqrt(math.gcd(m, q1 * q2))
                                 )
                             else:
-                                raise ValueError(f"unknown normalizer {normalizer}")
+                                norm = (
+                                    q1 ** 1.5 * q1t ** 1.5 * q2 ** 2.5
+                                    * math.sqrt(math.gcd(params.m, q2))
+                                )
                             rep.add(
                                 q1=q1, q1t=q1t, q2=q2, n=n, m=params.m, h=h,
                                 abs_sum=v, normalizer=norm, ratio=v / norm,

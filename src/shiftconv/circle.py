@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import euler_phi, primes_in_dyadic, unit_residues
-from .errors import EmptyCollection, OverlappingRanges
+from .errors import OverlappingRanges
 from .reports import ExperimentReport
 from .util import sinc
 
@@ -43,9 +43,6 @@ class ModuliSet:
         """The dyadic cap 4 Q1 Q2 (every member is <= this)."""
         return 4 * self.Q1 * self.Q2
 
-    def recompute_L(self) -> int:
-        return sum(euler_phi(q1) * euler_phi(q2) for q1, q2, _ in self.members)
-
 
 def build_moduli_set(Q1: int, Q2: int, h: int) -> ModuliSet:
     """All products of admissible primes from the two segments, sorted."""
@@ -57,8 +54,6 @@ def build_moduli_set(Q1: int, Q2: int, h: int) -> ModuliSet:
     members = tuple(
         sorted((a.p, b.p, a.p * b.p) for a in p1 for b in p2)
     )
-    if not members:
-        raise EmptyCollection("no moduli")
     L = sum(euler_phi(q1) * euler_phi(q2) for q1, q2, _ in members)
     return ModuliSet(Q1=Q1, Q2=Q2, h_excluded=h, members=members, L=L)
 
@@ -120,6 +115,16 @@ class L2Error:
         return self.partial + self.tail_bound
 
 
+def _multiples_tail(N: int, D: int) -> float:
+    """Upper bound for S(N, D) = sum_{n > N, D | n} n^-2.
+
+    With K = floor(N/D), S(N, D) = D^-2 sum_{k > K} k^-2, which is below
+    1 / (D^2 K) for K >= 1 and equals zeta(2) / D^2 for K = 0 (D > N).
+    """
+    K = N // D
+    return (1.0 / K if K else math.pi ** 2 / 6.0) / (D * D)
+
+
 def l2_error(A: Approximant, n_max: int) -> L2Error:
     """sum_{0 < |n| <= n_max} |a_n|^2 plus an explicit tail majorant.
 
@@ -129,7 +134,8 @@ def l2_error(A: Approximant, n_max: int) -> L2Error:
         sum_{|n| > N} |a_n|^2
           <= 2 (1 / 2 pi delta L)^2 sum_{(q,d), (q',d')} d d' S(N, lcm(d,d'))
 
-    with S(N, D) = sum_{n > N, D | n} n^-2 <= 1 / (D^2 max(1, floor(N/D))).
+    with S(N, D) = sum_{n > N, D | n} n^-2 <= 1 / (D^2 floor(N/D)) for
+    D <= N and S(N, D) = zeta(2) / D^2 for D > N (_multiples_tail).
     """
     if n_max < 1.0 / A.delta:
         raise ValueError("need n_max >= 1/delta")
@@ -150,7 +156,7 @@ def l2_error(A: Approximant, n_max: int) -> L2Error:
             for d1 in da:
                 for d2 in db:
                     lcm = d1 * d2 // math.gcd(d1, d2)
-                    tail += d1 * d2 / (lcm * lcm * max(1, n_max // lcm))
+                    tail += d1 * d2 * _multiples_tail(n_max, lcm)
     tail *= 2.0 * (1.0 / (2.0 * np.pi * delta * L)) ** 2
     return L2Error(partial=partial, tail_bound=tail, n_max=n_max)
 

@@ -35,10 +35,13 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     _mpz = int
 
-# Slot width for the Kronecker-substitution polynomial products.  Final
-# coefficients satisfy |a(n)| <= d(n) n^{11/2} < 2^110 for n <= 10^6.
+# Slot width for the Kronecker-substitution polynomial products.  The
+# balanced decode needs |a(n)| < 2^127, and |a(n)| <= d(n) n^{11/2}, whose
+# maximum over n <= N is about 2^117.5 at N = 10^6, 2^126.5 at 3 * 10^6 and
+# 2^128.9 at 4 * 10^6; _MAX_N keeps every table below the limit.
 _SLOT_BITS = 128
 _SLOT_BYTES = _SLOT_BITS // 8
+_MAX_N = 3_000_000
 
 
 def _eta_cube_terms(length):
@@ -83,11 +86,14 @@ def _decode_balanced(value, length):
 def weight12_integer_coefficients(N: int) -> list[int]:
     """a(1..N) of the weight-12 form, exact integers.
 
-    Three squarings of the encoded eta-cube series give (eta^3)^8; slot
-    arithmetic stays below 2^127 so the balanced decode is unambiguous.
+    Three squarings of the encoded eta-cube series give (eta^3)^8; for
+    N <= 3 * 10^6 slot arithmetic stays below 2^127, so the balanced decode
+    is unambiguous, and larger N raise OutOfRange.
     """
     if N < 1:
         raise ValueError("need N >= 1")
+    if N > _MAX_N:
+        raise OutOfRange(f"N={N} beyond {_MAX_N}: coefficients would overflow the {_SLOT_BITS}-bit slots")
     mod = 1 << (_SLOT_BITS * N)
     acc = _mpz(_encode(_eta_cube_terms(N), N))
     for _ in range(3):

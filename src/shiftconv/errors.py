@@ -21,10 +21,6 @@ class OverlappingRanges(ShiftconvError):
     """The two dyadic prime segments are not disjoint."""
 
 
-class EmptyCollection(ShiftconvError):
-    """A moduli collection came out empty."""
-
-
 class UnsupportedWeight(ShiftconvError):
     """Coefficient generation is only wired for weight 12."""
 
@@ -35,19 +31,3 @@ class InsufficientBase(ShiftconvError):
 
 class OutOfRange(ShiftconvError):
     """A requested index exceeds the table range."""
-
-
-class QuadratureFailure(ShiftconvError):
-    """Numerical integration did not reach the requested tolerance."""
-
-
-class TableTooShort(ShiftconvError):
-    """A coefficient table does not cover the summation support."""
-
-
-class InsufficientPoints(ShiftconvError):
-    """A scaling fit needs at least three sample points."""
-
-
-class ConfigError(ShiftconvError):
-    """A run configuration failed schema validation."""

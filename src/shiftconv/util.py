@@ -6,10 +6,8 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 
 def sinc(t):
@@ -23,30 +21,6 @@ def sinc(t):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def gauss_legendre_panels(lo, hi, panels, order=24):
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
-    x0, w0 = leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (np.outer(half, x0) + mid[:, None]).ravel()
-    ws = np.outer(half, w0).ravel()
-    return xs, ws
-
-
-def pmap(fn, items, threads=1):
-    """Map preserving input order; thread pool when threads > 1.
-
-    The reduction stays deterministic because results are reassembled in
-    the submission order, independent of completion order.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 def canonical_hash(mapping: dict) -> str:

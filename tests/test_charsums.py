@@ -79,11 +79,10 @@ class TestSCharSum:
         with pytest.raises(InvalidDivisor):
             cs.SCharParams(4, 1, 1, 1, 15)
 
-    def test_composite_modulus_type(self):
-        mod = cs.CompositeModulus(P(3), P(5))
-        assert mod.q == 15
-        with pytest.raises(ValueError):
-            cs.CompositeModulus(P(3), P(3))
+    @pytest.mark.parametrize("m1,q", [(0, 15), (-3, 15), (1, 0), (3, -15)])
+    def test_rejects_nonpositive_m1_or_q(self, m1, q):
+        with pytest.raises(InvalidDivisor):
+            cs.SCharParams(m1, 1, 1, 1, q)
 
     @given(st.integers(0, 30), st.integers(0, 30))
     @settings(max_examples=20, deadline=None)
@@ -103,56 +102,42 @@ class TestSCharSum:
                 slow = cs.char_sum_S(cs.SCharParams(m1, m2, n, h, q))
                 assert abs(fast - slow) < 1e-8
 
+    @pytest.mark.parametrize(
+        "q1,q2,m2,n,h", [(3, 5, 1, 1, 1), (3, 5, 2, 2, 1), (5, 7, 3, 2, 4), (3, 5, 2, 1, 0)]
+    )
+    def test_factored_matches_direct_at_m1_q1(self, q1, q2, m2, n, h):
+        # m1 = q1: a Kloosterman factor mod q1 times the unit sum mod q2;
+        # h = 0 makes the Kloosterman factor a Ramanujan sum
+        fast = cs.char_sum_S_factored(q1, m2, n, h, q1, q2)
+        slow = cs.char_sum_S(cs.SCharParams(q1, m2, n, h, q1 * q2))
+        assert abs(fast - slow) < 1e-8
 
-class TestSSplit:
-    @pytest.mark.parametrize("q1,q2,m2,n,h", [(3, 5, 1, 1, 1), (3, 5, 2, 2, 1), (5, 7, 3, 2, 4)])
-    def test_equals_direct(self, q1, q2, m2, n, h):
-        mod = cs.CompositeModulus(P(q1), P(q2))
-        params = cs.SCharParams(q1, m2, n, h, mod)
-        split = cs.char_sum_S_split(params)
-        direct = cs.char_sum_S(params)
-        assert abs(split - direct) < 1e-8
-
-    def test_h_zero_degenerates(self):
-        # the Kloosterman factor S(0, -q2bar n; q1) is a Ramanujan sum
-        from shiftconv.arith import ramanujan_sum
-
-        mod = cs.CompositeModulus(P(3), P(5))
-        params = cs.SCharParams(3, 2, 1, 0, mod)
-        split = cs.char_sum_S_split(params)
-        direct = cs.char_sum_S(params)
-        assert abs(split - direct) < 1e-8
-        q2b = pow(5, -1, 3)
-        assert abs(ramanujan_sum(3, -q2b * 1)) >= 0  # factor exists and is real
-
-    def test_requires_m1_q1(self):
-        mod = cs.CompositeModulus(P(3), P(5))
+    def test_factored_rejects_equal_primes(self):
         with pytest.raises(InvalidDivisor):
-            cs.char_sum_S_split(cs.SCharParams(5, 1, 1, 1, mod))
+            cs.char_sum_S_factored(1, 1, 1, 1, 5, 5)
+
+
+def oracle_unit_sum(h, n, m2, q1, q2):
+    """sum over units a, b mod q2 of e_q2(q1bar a h - q1bar abar n + b abar + m2 bbar)."""
+    q1b = pow(q1, -1, q2)
+    total = 0j
+    for a in range(1, q2):
+        for b in range(1, q2):
+            ab, bb = pow(a, -1, q2), pow(b, -1, q2)
+            total += eq(q2, q1b * a * h - q1b * ab * n + b * ab + m2 * bb)
+    return total
 
 
 class TestAdolphsonSperber:
     def test_brute_force(self):
-        got = cs.adolphson_sperber_sum(1, 1, 1, P(3), P(5))
-        expect = 0j
-        for a in range(1, 5):
-            for b in range(1, 5):
-                ab, bb = pow(a, -1, 5), pow(b, -1, 5)
-                q1b = pow(3, -1, 5)
-                expect += eq(5, q1b * a * 1 - q1b * ab * 1 + b * ab + 1 * bb)
-        assert abs(got - expect) < 1e-10
-
-    def test_branch_classification(self):
-        assert not cs.adolphson_sperber_is_generic(n=1, m2=5, q2=P(5))
-        assert not cs.adolphson_sperber_is_generic(n=5, m2=1, q2=P(5))
-        assert cs.adolphson_sperber_is_generic(n=1, m2=1, q2=P(5))
+        grid = cs.adolphson_sperber_grid(1, P(3), P(5))
+        assert abs(grid[1, 1] - oracle_unit_sum(1, 1, 1, 3, 5)) < 1e-10
 
     def test_grid_matches_scalar(self):
         grid = cs.adolphson_sperber_grid(2, P(3), P(7))
         for h in (0, 1, 5):
             for n in (1, 6):
-                v = cs.adolphson_sperber_sum(h, n, 2, P(3), P(7))
-                assert abs(grid[h, n] - v) < 1e-9
+                assert abs(grid[h, n] - oracle_unit_sum(h, n, 2, 3, 7)) < 1e-9
 
     def test_generic_census(self):
         # Exhaustive over (h, n, m2) mod q2 with h, n, m2 nonzero: the
@@ -173,8 +158,9 @@ class TestAdolphsonSperber:
         # degenerate tuples stay below the q2^{3/2} fallback
         for q2 in (5, 13, 31):
             for m2 in (q2, 2 * q2):
-                v = abs(cs.adolphson_sperber_sum(1, 1, m2, P(2), P(q2)))
-                assert v <= q2 ** 1.5 + 1e-9
+                v = cs.adolphson_sperber_grid(m2, P(2), P(q2))[1, 1]
+                assert abs(v - oracle_unit_sum(1, 1, m2, 2, q2)) < 1e-9
+                assert abs(v) <= q2 ** 1.5 + 1e-9
 
 
 class TestAlphaTable:
@@ -304,6 +290,18 @@ class TestBoundCensus:
         rep = cs.bound_census(fam)
         assert rep.records == []
         assert "max_ratio" not in rep.summary
+
+    @pytest.mark.parametrize(
+        "family,expected",
+        [
+            (cs.SCensusFamily(primes=(3, 5), m2_max=2, n_max=2, h_max=2), "c5dda30413aa27a5"),
+            (cs.TCensusFamily(q1_primes=(3, 5), q2_primes=(7,), m_max=10), "513a8521a3cb9363"),
+            (cs.TCensusFamily(q1_primes=(3, 5), q2_primes=(7,), m_max=10, diagonal=True), "936fe33e8317485a"),
+        ],
+    )
+    def test_config_hash_golden(self, family, expected):
+        # reports are keyed by this hash; a change re-keys every stored report
+        assert cs.bound_census(family).config_hash == expected
 
     def test_csv_has_hash(self):
         fam = cs.SCensusFamily(primes=(3, 5), m2_max=2, n_max=2, h_max=2)

@@ -30,7 +30,6 @@ class TestModuliSet:
             circle.build_moduli_set(3, 5, 1)
 
     def test_L_consistent(self, small_set):
-        assert small_set.L == small_set.recompute_L()
         assert small_set.L == sum(euler_phi(q) for _, _, q in small_set.members)
 
     def test_members_sorted_unique(self, small_set):
@@ -129,6 +128,13 @@ class TestFourierCoeff:
 
 
 class TestL2Error:
+    @pytest.mark.parametrize("N,D", [(100, 1), (100, 7), (100, 100), (100, 101), (100, 1000), (1, 2)])
+    def test_multiples_tail_bounds_brute_force(self, N, D):
+        # sum over N < n <= M with D | n; the rest of the tail only adds mass
+        M = 10 ** 6
+        ns = np.arange((N // D + 1) * D, M + 1, D, dtype=float)
+        assert circle._multiples_tail(N, D) >= float(np.sum(1.0 / (ns * ns)))
+
     def test_matches_grid_quadrature(self, small_set):
         Q = small_set.max_modulus
         A = circle.Approximant(moduli=small_set, delta=1.0 / Q)

@@ -75,6 +75,15 @@ class TestGL2:
         with pytest.raises(OutOfRange):
             gl2.lam(gl2.N + 1)
 
+    def test_slot_limit_raises_before_encoding(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("encoding started")
+
+        monkeypatch.setattr(coeffs, "_eta_cube_terms", fail)
+        monkeypatch.setattr(coeffs, "_encode", fail)
+        with pytest.raises(OutOfRange):
+            coeffs.weight12_integer_coefficients(3_000_001)
+
 
 class TestGL3:
     def test_normalization(self, gl3):
