@@ -1,18 +1,19 @@
 """Overlapping-interval circle-method approximant over factorable moduli.
 
-The indicator of [0, 1] is approximated by
+The indicator of [0, 1] is approximated by the period-1 function
 
     I~(x) = (1 / 2 delta L) sum_{q in Q} sum over units a mod q
             of 1[|x - a/q| <= delta, circularly mod 1],
 
-where the moduli family Q consists of products q = q1 q2 of primes drawn
-from two disjoint dyadic segments and L = sum phi(q).  The Fourier
-coefficients are
+where the moduli family Q = P1 x P2 consists of the products q = q1 q2 of
+primes from two disjoint dyadic segments, and L = sum phi(q) =
+Phi(P1) Phi(P2) with Phi(P) = sum (p - 1).  The Fourier coefficients are
 
     a_n = (1/L) sum_q c_q(n) sinc(2 pi n delta),   a_0 = 1 exactly,
 
-and the L^2 distance from 1 is sum_{n != 0} |a_n|^2 (Parseval), reported
-with a certified divisor-pair tail majorant.
+where sum_q c_q(n) = (sum_{p in P1} c_p(n)) (sum_{p in P2} c_p(n)) as
+c_{q1 q2} = c_{q1} c_{q2}.  The L^2 distance from 1 is sum_{n != 0} |a_n|^2
+(Parseval), reported with a certified divisor-pair tail majorant.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import euler_phi, primes_in_dyadic, unit_residues
+from .arith import primes_in_dyadic, unit_residues
 from .errors import OverlappingRanges
 from .reports import ExperimentReport
 from .util import sinc
@@ -30,13 +31,22 @@ from .util import sinc
 
 @dataclass(frozen=True)
 class ModuliSet:
-    """Products of primes from [Q1, 2Q1] x [Q2, 2Q2], coprime to h_excluded."""
+    """The products P1 x P2 of primes from [Q1, 2Q1] and [Q2, 2Q2]."""
 
     Q1: int
     Q2: int
-    h_excluded: int
-    members: tuple  # sorted (q1, q2, q) triples
-    L: int          # sum of phi(q) over members
+    P1: tuple  # ascending primes of [Q1, 2Q1]
+    P2: tuple  # ascending primes of [Q2, 2Q2]
+
+    @property
+    def members(self) -> tuple:
+        """The sorted (q1, q2, q1 q2) triples of P1 x P2."""
+        return tuple((q1, q2, q1 * q2) for q1 in self.P1 for q2 in self.P2)
+
+    @property
+    def L(self) -> int:
+        """sum of phi(q) over members, Phi(P1) Phi(P2)."""
+        return sum(p - 1 for p in self.P1) * sum(p - 1 for p in self.P2)
 
     @property
     def max_modulus(self) -> int:
@@ -45,17 +55,12 @@ class ModuliSet:
 
 
 def build_moduli_set(Q1: int, Q2: int, h: int) -> ModuliSet:
-    """All products of admissible primes from the two segments, sorted."""
-    lo1, hi1, lo2, hi2 = Q1, 2 * Q1, Q2, 2 * Q2
-    if not (hi1 < lo2 or hi2 < lo1):
-        raise OverlappingRanges(f"[{lo1},{hi1}] and [{lo2},{hi2}] intersect")
-    p1 = primes_in_dyadic(Q1, h)
-    p2 = primes_in_dyadic(Q2, h)
-    members = tuple(
-        sorted((a.p, b.p, a.p * b.p) for a in p1 for b in p2)
-    )
-    L = sum(euler_phi(q1) * euler_phi(q2) for q1, q2, _ in members)
-    return ModuliSet(Q1=Q1, Q2=Q2, h_excluded=h, members=members, L=L)
+    """P1 x P2 from the primes of [Q1, 2Q1] and [Q2, 2Q2] not dividing h."""
+    if not (2 * Q1 < Q2 or 2 * Q2 < Q1):
+        raise OverlappingRanges(f"[{Q1},{2 * Q1}] and [{Q2},{2 * Q2}] intersect")
+    P1 = tuple(p.p for p in primes_in_dyadic(Q1, h))
+    P2 = tuple(p.p for p in primes_in_dyadic(Q2, h))
+    return ModuliSet(Q1=Q1, Q2=Q2, P1=P1, P2=P2)
 
 
 @dataclass(frozen=True)
@@ -68,37 +73,39 @@ class Approximant:
     def __post_init__(self):
         Q = self.moduli.max_modulus
         if not (Q ** -2.0 / 8.0 <= self.delta <= 8.0 / Q):
-            raise ValueError(
-                f"delta={self.delta} outside [Q^-2/8, 8/Q] for Q={Q}"
-            )
+            raise ValueError(f"delta={self.delta} outside [Q^-2/8, 8/Q] for Q={Q}")
+
+
+def _interval_counts(A: Approximant, xs) -> np.ndarray:
+    """Number of fractions a/q within circular distance delta of each x mod 1;
+    as delta < 1/2, the window [x - delta, x + delta] holds at most one of
+    f - 1, f, f + 1 for each a/q = f in (0, 1)."""
+    f = np.sort(np.concatenate([unit_residues(q) / q for _, _, q in A.moduli.members]))
+    f = np.concatenate([f - 1.0, f, f + 1.0])
+    x = np.asarray(xs, dtype=float) % 1.0
+    return np.searchsorted(f, x + A.delta, "right") - np.searchsorted(f, x - A.delta, "left")
 
 
 def approximant_eval(A: Approximant, x: float) -> float:
     """Pointwise value of I~ at x, with circular interval membership."""
-    count = 0
-    for q1, q2, q in A.moduli.members:
-        frac = np.abs(x - unit_residues(q) / q)
-        circ = np.minimum(frac, 1.0 - frac)
-        count += int(np.count_nonzero(circ <= A.delta))
-    return count / (2.0 * A.delta * A.moduli.L)
+    return int(_interval_counts(A, x)) / (2.0 * A.delta * A.moduli.L)
 
 
-def _ramanujan_rows(members, ns: np.ndarray) -> np.ndarray:
-    """sum_q c_q(n) for the vector ns; c_{q1 q2} = c_{q1} c_{q2} with
-    c_p(n) = p - 1 if p | n else -1 at primes."""
-    total = np.zeros(len(ns))
-    for q1, q2, _ in members:
-        c1 = np.where(ns % q1 == 0, float(q1 - 1), -1.0)
-        c2 = np.where(ns % q2 == 0, float(q2 - 1), -1.0)
-        total += c1 * c2
-    return total
+def _ramanujan_rows(ms: ModuliSet, ns: np.ndarray) -> np.ndarray:
+    """sum_q c_q(n) for the vector ns, as (sum over P1)(sum over P2) of
+    c_p(n) = p - 1 if p | n else -1."""
+    rows = (np.zeros(len(ns)), np.zeros(len(ns)))
+    for row, primes in zip(rows, (ms.P1, ms.P2)):
+        for p in primes:
+            row += np.where(ns % p == 0, float(p - 1), -1.0)
+    return rows[0] * rows[1]
 
 
 def fourier_coeff(A: Approximant, n: int) -> complex:
     """a_n = (1/L) sum_q c_q(n) sinc(2 pi n delta); a_0 = 1 exactly."""
     if n == 0:
         return 1.0 + 0.0j
-    row = _ramanujan_rows(A.moduli.members, np.array([n]))[0]
+    row = _ramanujan_rows(A.moduli, np.array([n]))[0]
     return complex(row / A.moduli.L * sinc(2.0 * np.pi * n * A.delta))
 
 
@@ -115,48 +122,46 @@ class L2Error:
         return self.partial + self.tail_bound
 
 
-def _multiples_tail(N: int, D: int) -> float:
-    """Upper bound for S(N, D) = sum_{n > N, D | n} n^-2.
+def _multiples_tail(N: int, D) -> np.ndarray:
+    """Upper bound for S(N, D) = sum_{n > N, D | n} n^-2, elementwise in D.
 
     With K = floor(N/D), S(N, D) = D^-2 sum_{k > K} k^-2, which is below
     1 / (D^2 K) for K >= 1 and equals zeta(2) / D^2 for K = 0 (D > N).
     """
     K = N // D
-    return (1.0 / K if K else math.pi ** 2 / 6.0) / (D * D)
+    return np.where(K > 0, 1.0 / np.maximum(K, 1), math.pi ** 2 / 6.0) / (D * D)
 
 
 def l2_error(A: Approximant, n_max: int) -> L2Error:
     """sum_{0 < |n| <= n_max} |a_n|^2 plus an explicit tail majorant.
 
     Tail:  |a_n| <= (1 / 2 pi delta L |n|) |sum_q c_q(n)|, and expanding
-    (sum_q sum_{d | (n,q)} d)^2 over divisor pairs gives
+    (sum_q sum_{d | (n,q)} d)^2 over divisor pairs, grouped by value d with
+    weight w_d = d times the multiplicity of d among the 4 |Q| divisors
+    (1, q1, q2, q) of the members, gives
 
         sum_{|n| > N} |a_n|^2
-          <= 2 (1 / 2 pi delta L)^2 sum_{(q,d), (q',d')} d d' S(N, lcm(d,d'))
+          <= 2 (1 / 2 pi delta L)^2 sum_{d, d'} w_d w_d' S(N, lcm(d, d'))
 
     with S(N, D) = sum_{n > N, D | n} n^-2 <= 1 / (D^2 floor(N/D)) for
-    D <= N and S(N, D) = zeta(2) / D^2 for D > N (_multiples_tail).
+    D <= N and S(N, D) = zeta(2) / D^2 for D > N (_multiples_tail), summed
+    one row of d' at a time with lcm in floats, so no int64 can overflow.
     """
     if n_max < 1.0 / A.delta:
         raise ValueError("need n_max >= 1/delta")
-    members, L, delta = A.moduli.members, A.moduli.L, A.delta
+    L, delta = A.moduli.L, A.delta
     partial = 0.0
     chunk = 4_000_000
-    lo = 1
-    while lo <= n_max:
-        hi = min(n_max, lo + chunk - 1)
-        ns = np.arange(lo, hi + 1)
-        an = _ramanujan_rows(members, ns) / L * sinc(2.0 * np.pi * ns * delta)
+    for lo in range(1, n_max + 1, chunk):
+        ns = np.arange(lo, min(n_max, lo + chunk - 1) + 1)
+        an = _ramanujan_rows(A.moduli, ns) / L * sinc(2.0 * np.pi * ns * delta)
         partial += 2.0 * float(np.sum(an * an))
-        lo = hi + 1
-    divisor_lists = [(1, q1, q2, q) for q1, q2, q in members]
+    d, mult = np.unique(np.insert(np.array(A.moduli.members), 0, 1, axis=1), return_counts=True)
+    w = (d * mult).astype(float)
     tail = 0.0
-    for da in divisor_lists:
-        for db in divisor_lists:
-            for d1 in da:
-                for d2 in db:
-                    lcm = d1 * d2 // math.gcd(d1, d2)
-                    tail += d1 * d2 * _multiples_tail(n_max, lcm)
+    for di, wi in zip(d, w):
+        lcm = (di // np.gcd(di, d)) * d.astype(float)
+        tail += wi * float(np.sum(w * _multiples_tail(n_max, lcm)))
     tail *= 2.0 * (1.0 / (2.0 * np.pi * delta * L)) ** 2
     return L2Error(partial=partial, tail_bound=tail, n_max=n_max)
 
@@ -165,12 +170,7 @@ def quadrature_l2_error(A: Approximant, step: float) -> float:
     """Midpoint-rule value of the integral of |1 - I~|^2 (independent oracle)."""
     m = int(np.ceil(1.0 / step))
     xs = (np.arange(m) + 0.5) / m
-    count = np.zeros(m)
-    for q1, q2, q in A.moduli.members:
-        for a in unit_residues(q):
-            d = np.abs(xs - a / q)
-            count += (np.minimum(d, 1.0 - d) <= A.delta)
-    vals = 1.0 - count / (2.0 * A.delta * A.moduli.L)
+    vals = 1.0 - _interval_counts(A, xs) / (2.0 * A.delta * A.moduli.L)
     return float(np.mean(vals * vals))
 
 

@@ -1,16 +1,44 @@
 """Circle-method approximant tests: construction, evaluation, Parseval."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from shiftconv import circle
-from shiftconv.arith import euler_phi
+from shiftconv.arith import euler_phi, ramanujan_sum, unit_residues
 from shiftconv.errors import OverlappingRanges
 
 
 @pytest.fixture(scope="module")
 def small_set():
     return circle.build_moduli_set(3, 11, 1)
+
+
+def brute_counts(ms, delta, xs):
+    """Number of units a/q, over every member q, within circular distance
+    delta of each x in [0, 1), one fraction at a time."""
+    count = np.zeros(len(xs))
+    for q1, q2, q in ms.members:
+        for a in unit_residues(q):
+            d = np.abs(xs - a / q)
+            count += (np.minimum(d, 1.0 - d) <= delta)
+    return count
+
+
+def oracle_tail(A, n_max):
+    """The tail majorant of l2_error summed over every pair of (member,
+    divisor) pairs, 16 |Q|^2 terms in exact integer lcm arithmetic."""
+    divisor_lists = [(1, q1, q2, q) for q1, q2, q in A.moduli.members]
+    tail = 0.0
+    for da in divisor_lists:
+        for db in divisor_lists:
+            for d1 in da:
+                for d2 in db:
+                    lcm = d1 * d2 // math.gcd(d1, d2)
+                    tail += d1 * d2 * circle._multiples_tail(n_max, lcm)
+    return tail * 2.0 * (1.0 / (2.0 * np.pi * A.delta * A.moduli.L)) ** 2
 
 
 class TestModuliSet:
@@ -35,6 +63,13 @@ class TestModuliSet:
     def test_members_sorted_unique(self, small_set):
         ms = list(small_set.members)
         assert ms == sorted(set(ms))
+
+    def test_stores_only_prime_sets(self, small_set):
+        assert [f.name for f in dataclasses.fields(small_set)] == ["Q1", "Q2", "P1", "P2"]
+        assert small_set.P1 == (3, 5) and small_set.P2 == (11, 13, 17, 19)
+        for name in ("members", "L"):
+            with pytest.raises(AttributeError):
+                setattr(small_set, name, None)
 
 
 class TestApproximantEval:
@@ -64,6 +99,28 @@ class TestApproximantEval:
         assert (vals >= 0).all()
         assert np.mean(vals) == pytest.approx(1.0, abs=5e-2)
 
+    @pytest.mark.parametrize("delta", [1.0 / 132, 1e-4])  # 132 = max_modulus
+    def test_matches_brute_force_count(self, small_set, delta):
+        A = circle.Approximant(moduli=small_set, delta=delta)
+        m = 20011  # odd: no midpoint lies exactly delta from a fraction
+        xs = (np.arange(m) + 0.5) / m
+        want = brute_counts(small_set, delta, xs) / (2.0 * delta * small_set.L)
+        got = np.array([circle.approximant_eval(A, float(x)) for x in xs])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("delta", [1.0 / 132, 1e-4])
+    def test_period_one(self, small_set, delta):
+        A = circle.Approximant(moduli=small_set, delta=delta)
+        xs = np.concatenate([[np.pi / 7 % 1.0], np.sqrt(np.arange(2, 400)) % 1.0])
+        # keep points whose distance to every interval end exceeds the
+        # rounding of x + k
+        d = np.abs(xs[:, None] - np.concatenate([unit_residues(q) / q for *_, q in small_set.members]))
+        xs = xs[(np.abs(np.minimum(d, 1.0 - d) - delta) > 1e-9).all(axis=1)]
+        assert len(xs) > 300 and brute_counts(small_set, delta, xs).any()
+        for x in xs:
+            for k in (-2, -1, 1, 3):
+                assert circle.approximant_eval(A, x + k) == circle.approximant_eval(A, x)
+
     def test_delta_window_enforced(self, small_set):
         with pytest.raises(ValueError):
             circle.Approximant(moduli=small_set, delta=1.0)
@@ -88,17 +145,7 @@ class TestFourierCoeff:
         A = circle.Approximant(moduli=small_set, delta=1.0 / Q)
         m = 400_000
         xs = (np.arange(m) + 0.5) / m
-        vals = np.array(
-            [0.0] * m
-        )
-        from shiftconv.arith import unit_residues
-
-        count = np.zeros(m)
-        for q1, q2, q in small_set.members:
-            for a in unit_residues(q):
-                d = np.abs(xs - a / q)
-                count += (np.minimum(d, 1.0 - d) <= A.delta)
-        ivals = count / (2 * A.delta * small_set.L)
+        ivals = brute_counts(small_set, A.delta, xs) / (2 * A.delta * small_set.L)
         for n in (1, 7, 40):
             direct = np.mean(ivals * np.exp(-2j * np.pi * n * xs))
             assert abs(circle.fourier_coeff(A, n) - direct) < 2e-3
@@ -128,12 +175,31 @@ class TestFourierCoeff:
 
 
 class TestL2Error:
-    @pytest.mark.parametrize("N,D", [(100, 1), (100, 7), (100, 100), (100, 101), (100, 1000), (1, 2)])
+    @pytest.mark.parametrize(
+        "N,D",
+        [(100, 1), (100, 7), (100, 100), (100, 101), (100, 1000), (1, 2),
+         (100, np.array([1.0, 7.0, 100.0, 101.0, 1000.0]))],
+    )
     def test_multiples_tail_bounds_brute_force(self, N, D):
         # sum over N < n <= M with D | n; the rest of the tail only adds mass
         M = 10 ** 6
-        ns = np.arange((N // D + 1) * D, M + 1, D, dtype=float)
-        assert circle._multiples_tail(N, D) >= float(np.sum(1.0 / (ns * ns)))
+        brute = []
+        for d in np.atleast_1d(D):
+            ns = np.arange((N // d + 1) * d, M + 1, d, dtype=float)
+            brute.append(float(np.sum(1.0 / (ns * ns))))
+        assert np.all(circle._multiples_tail(N, D) >= np.array(brute))
+
+    @pytest.mark.parametrize("Q1,Q2,h", [(3, 11, 1), (5, 23, 1), (3, 11, 3)])
+    def test_tail_matches_pair_oracle(self, Q1, Q2, h):
+        ms = circle.build_moduli_set(Q1, Q2, h)
+        A = circle.Approximant(moduli=ms, delta=1.0 / ms.max_modulus)
+        n_max = int(500 / A.delta)
+        assert circle.l2_error(A, n_max).tail_bound == pytest.approx(oracle_tail(A, n_max), rel=1e-12)
+
+    def test_rows_match_ramanujan_sums(self, small_set):
+        ns = np.arange(-200, 2001)
+        want = [sum(ramanujan_sum(q, int(n)) for _, _, q in small_set.members) for n in ns]
+        assert np.array_equal(circle._ramanujan_rows(small_set, ns), want)
 
     def test_matches_grid_quadrature(self, small_set):
         Q = small_set.max_modulus

@@ -10,7 +10,8 @@ import shiftconv
 
 tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
 
-PYPROJECT = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
 
 
 def test_console_scripts_resolve():
@@ -24,3 +25,10 @@ def test_docstring_submodules_import():
     assert names
     for name in names:
         importlib.import_module(f"shiftconv.{name}")
+
+
+def test_dependencies_imported():
+    source = "\n".join(p.read_text() for p in (ROOT / "src" / "shiftconv").rglob("*.py"))
+    for spec in PYPROJECT["project"]["dependencies"]:
+        name = re.match(r"[\w.-]+", spec).group(0)
+        assert re.search(rf"^\s*(import|from)\s+{re.escape(name)}\b", source, re.M), spec
