@@ -86,9 +86,13 @@ def _interval_counts(A: Approximant, xs) -> np.ndarray:
     return np.searchsorted(f, x + A.delta, "right") - np.searchsorted(f, x - A.delta, "left")
 
 
-def approximant_eval(A: Approximant, x: float) -> float:
-    """Pointwise value of I~ at x, with circular interval membership."""
-    return int(_interval_counts(A, x)) / (2.0 * A.delta * A.moduli.L)
+def approximant_eval(A: Approximant, x: float | np.ndarray) -> float | np.ndarray:
+    """Value of I~ at x, with circular interval membership.
+
+    x may be a float (returns a float) or an array (returns an array of the
+    same shape, each entry equal to the scalar call)."""
+    vals = _interval_counts(A, x) / (2.0 * A.delta * A.moduli.L)
+    return float(vals) if np.ndim(x) == 0 else vals
 
 
 def _ramanujan_rows(ms: ModuliSet, ns: np.ndarray) -> np.ndarray:
@@ -170,7 +174,7 @@ def quadrature_l2_error(A: Approximant, step: float) -> float:
     """Midpoint-rule value of the integral of |1 - I~|^2 (independent oracle)."""
     m = int(np.ceil(1.0 / step))
     xs = (np.arange(m) + 0.5) / m
-    vals = 1.0 - _interval_counts(A, xs) / (2.0 * A.delta * A.moduli.L)
+    vals = 1.0 - approximant_eval(A, xs)
     return float(np.mean(vals * vals))
 
 

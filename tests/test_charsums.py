@@ -1,6 +1,7 @@
 """Character-sum tests: brute-force oracles, closed forms, vanishing laws."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftconv import charsums as cs
-from shiftconv.arith import PrimeModulus
+from shiftconv.arith import PrimeModulus, unit_inverses, unit_residues
 from shiftconv.errors import InvalidDivisor
 
 P = PrimeModulus
@@ -163,12 +164,58 @@ class TestAdolphsonSperber:
                 assert abs(v) <= q2 ** 1.5 + 1e-9
 
 
+def oracle_s_alpha(n, h, q, alphas):
+    """S(1, alpha, n, h; q) for each alpha given, straight from the definition:
+    sum over units a of e_q(a h - abar n) * sum over units x of
+    e_q(abar x + alpha xbar), with units and inverses from math.gcd and pow."""
+    units = np.array([a for a in range(q) if math.gcd(a, q) == 1], dtype=np.int64)
+    inv = np.array([pow(int(a), -1, q) for a in units], dtype=np.int64)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    outer = roots[(units * h - inv * n) % q]
+    abx = (inv[:, None] * units[None, :]) % q  # [a, x] = abar x
+    return np.array(
+        [outer @ roots[(abx + alpha * inv[None, :]) % q].sum(axis=1) for alpha in alphas]
+    )
+
+
 class TestAlphaTable:
     def test_matches_scalar(self):
         t = cs.s_alpha_table(2, 3, 15)
         for alpha in (0, 1, 7, 14):
             direct = cs.char_sum_S(cs.SCharParams(1, alpha, 2, 3, 15))
             assert abs(t[alpha] - direct) < 1e-9
+
+    @pytest.mark.parametrize("q", [1, 15, 35, 221])
+    def test_matches_oracle_every_alpha(self, q):
+        for n, h in [(1, 1), (2, 3), (4, 0)]:
+            got = cs.s_alpha_table(n, h, q)
+            assert np.abs(got - oracle_s_alpha(n, h, q, range(q))).max() < 1e-9 * q
+
+    def test_matches_oracle_seeded_alpha_large_q(self):
+        q = 1591  # 37 * 43
+        alphas = np.random.default_rng(5).integers(0, q, 8)
+        got = cs.s_alpha_table(3, 2, q)[alphas]
+        assert np.abs(got - oracle_s_alpha(3, 2, q, alphas)).max() < 1e-9 * q
+
+    def test_read_only_and_cached_by_residue(self):
+        q = 35
+        t = cs.s_alpha_table(4, 6, q)
+        assert not t.flags.writeable
+        assert cs.s_alpha_table(4 + q, 6 - q, q) is t
+
+    def test_memory_is_linear_in_q(self):
+        # two q x q complex matrices would take ~90 MB at q = 1591
+        q = 1591
+        unit_residues(q)
+        unit_inverses(q)
+        cs._s_alpha_table_cached.cache_clear()
+        tracemalloc.start()
+        try:
+            cs.s_alpha_table(1, 1, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestTCharSum:
@@ -181,17 +228,22 @@ class TestTCharSum:
         for (q1, q2, n, m, h) in [(3, 7, 1, 1, 1), (5, 11, 2, 3, 1), (3, 13, 1, 2, 2)]:
             p = tparams(n, m, h, q1, q1, q2)
             v = abs(cs.char_sum_T(p))
-            assert v < 1e-6 * cs.char_sum_T_term_count(p)
+            assert v < cs.char_sum_T_tolerance(p)
 
     def test_vanishes_offdiag_gcd(self):
         for (q1, q1t, q2, n, m, h) in [(3, 5, 7, 1, 3, 1), (3, 5, 11, 2, 5, 1), (5, 7, 11, 1, 35, 2)]:
             p = tparams(n, m, h, q1, q1t, q2)
             v = abs(cs.char_sum_T(p))
-            assert v < 1e-6 * cs.char_sum_T_term_count(p)
+            assert v < cs.char_sum_T_tolerance(p)
 
     def test_nonvanishing_diagonal_multiple(self):
         v = abs(cs.char_sum_T(tparams(2, 3, 1, 3, 3, 7)))
         assert v > 1.0
+
+    def test_nonvanishing_exceeds_tolerance(self):
+        # the vanishing-law tolerance is far below a genuine nonzero value
+        p = tparams(2, 3, 1, 3, 3, 7)
+        assert abs(cs.char_sum_T(p)) > 1e6 * cs.char_sum_T_tolerance(p)
 
     @given(st.integers(0, 40), st.integers(0, 40))
     @settings(max_examples=10, deadline=None)

@@ -95,7 +95,7 @@ class TestApproximantEval:
         Q = small_set.max_modulus
         A = circle.Approximant(moduli=small_set, delta=1.0 / Q)
         xs = np.linspace(0, 1, 20011)[:-1]
-        vals = np.array([circle.approximant_eval(A, float(x)) for x in xs])
+        vals = circle.approximant_eval(A, xs)
         assert (vals >= 0).all()
         assert np.mean(vals) == pytest.approx(1.0, abs=5e-2)
 
@@ -105,8 +105,17 @@ class TestApproximantEval:
         m = 20011  # odd: no midpoint lies exactly delta from a fraction
         xs = (np.arange(m) + 0.5) / m
         want = brute_counts(small_set, delta, xs) / (2.0 * delta * small_set.L)
-        got = np.array([circle.approximant_eval(A, float(x)) for x in xs])
-        assert np.array_equal(got, want)
+        assert np.array_equal(circle.approximant_eval(A, xs), want)
+
+    @pytest.mark.parametrize("delta", [1.0 / 132, 1e-4])
+    def test_array_matches_scalar_calls(self, small_set, delta):
+        A = circle.Approximant(moduli=small_set, delta=delta)
+        xs = np.concatenate([(np.arange(2001) + 0.5) / 2001, np.sqrt(np.arange(2, 200)) - 3.0])
+        got = circle.approximant_eval(A, xs)
+        scalars = [circle.approximant_eval(A, float(x)) for x in xs]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(got, np.array(scalars))
+        assert circle.approximant_eval(A, xs.reshape(-1, 1)).shape == (len(xs), 1)
 
     @pytest.mark.parametrize("delta", [1.0 / 132, 1e-4])
     def test_period_one(self, small_set, delta):
@@ -117,9 +126,9 @@ class TestApproximantEval:
         d = np.abs(xs[:, None] - np.concatenate([unit_residues(q) / q for *_, q in small_set.members]))
         xs = xs[(np.abs(np.minimum(d, 1.0 - d) - delta) > 1e-9).all(axis=1)]
         assert len(xs) > 300 and brute_counts(small_set, delta, xs).any()
-        for x in xs:
-            for k in (-2, -1, 1, 3):
-                assert circle.approximant_eval(A, x + k) == circle.approximant_eval(A, x)
+        base = circle.approximant_eval(A, xs)
+        for k in (-2, -1, 1, 3):
+            assert np.array_equal(circle.approximant_eval(A, xs + k), base)
 
     def test_delta_window_enforced(self, small_set):
         with pytest.raises(ValueError):
