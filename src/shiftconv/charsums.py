@@ -27,9 +27,11 @@ in t2_sum below.
 
 Each sum has one evaluator per use:
     char_sum_S              direct double sum, the reference for any q;
-    char_sum_S_factored     per-prime product for q = q1 q2, used by the
-                            S census (at m1 = q1 it is the Kloosterman
+    char_sum_S_factored     per-prime product for q = q1 q2, taking arrays
+                            in m2, n and h (at m1 = q1 it is the Kloosterman
                             factor times the two-variable unit sum mod q2);
+                            the S census calls it once per (q1, q2, m1)
+                            block on its whole (n, h, m2) grid;
     s_alpha_table           S(1, alpha, n, h; q) for all alpha at once,
                             as two length-q FFTs (O(q log q) time, O(q)
                             memory, 16 q bytes per cached table), used by
@@ -107,7 +109,9 @@ def char_sum_S(p: SCharParams) -> complex:
     return complex(np.sum(outer * inner))
 
 
-def char_sum_S_factored(m1: int, m2: int, n: int, h: int, q1: int, q2: int) -> complex:
+def char_sum_S_factored(
+    m1: int, m2: int | np.ndarray, n: int | np.ndarray, h: int | np.ndarray, q1: int, q2: int
+) -> complex | np.ndarray:
     """S over q = q1 q2 (distinct primes) as a product of per-prime factors.
 
     For each prime p with cofactor c = q/p the factor is
@@ -115,23 +119,30 @@ def char_sum_S_factored(m1: int, m2: int, n: int, h: int, q1: int, q2: int) -> c
     where the inner Kloosterman carries a cbar^2 twist on m2 when the
     Kloosterman modulus itself splits (m1 = 1), no twist when the modulus is
     the single prime p (p = q/m1), and reduces to 1 when p | m1 (then the
-    b-sum is itself a Kloosterman sum).  Used by censuses; equals char_sum_S.
+    b-sum is itself a Kloosterman sum).  Equals char_sum_S.
+
+    m2, n and h may be integers or integer arrays and broadcast against each
+    other; m1, q1 and q2 are integers.  The result has the broadcast shape,
+    and a call with three scalars returns a complex.
     """
     if q1 == q2:
         raise InvalidDivisor(f"q1 and q2 must be distinct primes, got {q1} twice")
-    val = 1.0 + 0.0j
+    m2, n, h = (np.asarray(x, dtype=np.int64) for x in (m2, n, h))
+    val = np.ones(np.broadcast_shapes(m2.shape, n.shape, h.shape), dtype=complex)
     for p, c in ((q1, q2), (q2, q1)):
         cb = pow(c, -1, p)
         kt = kloosterman_table(p)
+        # residues mod p first, so no int64 product can wrap
+        hr, nr = cb * (h % p) % p, -cb * (n % p) % p
         if m1 % p == 0:
-            val *= kt[(cb * h) % p, (-cb * n) % p]
+            val = val * kt[hr, nr]
         else:
-            m2_eff = (cb * cb * m2) % p if m1 == 1 else m2 % p
+            m2_eff = cb * cb * (m2 % p) % p if m1 == 1 else m2 % p
             b = unit_residues(p)
             bb = unit_inverses(p)
-            phases = _eq_pow(p, cb * h * b - cb * n * bb)
-            val *= complex(np.sum(phases * kt[bb, m2_eff]))
-    return val
+            phases = _eq_pow(p, hr[..., None] * b + nr[..., None] * bb)
+            val = val * np.sum(phases * kt[bb, m2_eff[..., None]], axis=-1)
+    return complex(val) if val.ndim == 0 else val
 
 
 def adolphson_sperber_grid(m2: int, q1: PrimeModulus, q2: PrimeModulus) -> np.ndarray:
@@ -321,21 +332,22 @@ def bound_census(family) -> ExperimentReport:
 def _census_s(family: SCensusFamily) -> ExperimentReport:
     cols = ["q1", "q2", "m1", "m2", "n", "h", "abs_sum", "normalizer", "ratio"]
     rep = ExperimentReport.for_config(cols, {"family": "S", **family.__dict__})
+    m2s = list(range(1, family.m2_max + 1))
     for q1 in family.primes:
         for q2 in family.primes:
             if q1 == q2:
                 continue
             q = q1 * q2
+            ns = [n for n in range(1, family.n_max + 1) if math.gcd(n, q) == 1]
+            hs = [h for h in range(1, family.h_max + 1) if math.gcd(h, q) == 1]
+            n_grid, h_grid = np.reshape(ns, (-1, 1, 1)), np.reshape(hs, (-1, 1))
             for m1 in (1, q1, q2, q):
-                for n in range(1, family.n_max + 1):
-                    if math.gcd(n, q) != 1:
-                        continue
-                    for h in range(1, family.h_max + 1):
-                        if math.gcd(h, q) != 1:
-                            continue
-                        for m2 in range(1, family.m2_max + 1):
-                            v = abs(char_sum_S_factored(m1, m2, n, h, q1, q2))
-                            norm = _s_normalizer(q, m1, m2)
+                # one call per block; axes (n, h, m2), the record order
+                block = char_sum_S_factored(m1, m2s, n_grid, h_grid, q1, q2)
+                norms = [_s_normalizer(q, m1, m2) for m2 in m2s]
+                for n, row in zip(ns, np.abs(block).tolist()):
+                    for h, vs in zip(hs, row):
+                        for m2, v, norm in zip(m2s, vs, norms):
                             rep.add(
                                 q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h,
                                 abs_sum=v, normalizer=norm, ratio=v / norm,

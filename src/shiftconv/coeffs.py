@@ -32,7 +32,7 @@ try:
     import gmpy2
 
     _mpz = gmpy2.mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional "fast" extra; plain int gives the same integers
     _mpz = int
 
 # Slot width for the Kronecker-substitution polynomial products.  The
@@ -86,18 +86,21 @@ def _decode_balanced(value, length):
 def weight12_integer_coefficients(N: int) -> list[int]:
     """a(1..N) of the weight-12 form, exact integers.
 
-    Three squarings of the encoded eta-cube series give (eta^3)^8; for
-    N <= 3 * 10^6 slot arithmetic stays below 2^127, so the balanced decode
-    is unambiguous, and larger N raise OutOfRange.
+    Three squarings of the encoded eta-cube series give (eta^3)^8.  Each
+    square is truncated to its low N slots with `& mask`, mask = 2^(128 N) - 1,
+    which gives the same residue as `% 2^(128 N)` without a long division
+    (CPython's `%` on big ints is quadratic).  For N <= 3 * 10^6 slot
+    arithmetic stays below 2^127, so the balanced decode is unambiguous, and
+    larger N raise OutOfRange.
     """
     if N < 1:
         raise ValueError("need N >= 1")
     if N > _MAX_N:
         raise OutOfRange(f"N={N} beyond {_MAX_N}: coefficients would overflow the {_SLOT_BITS}-bit slots")
-    mod = 1 << (_SLOT_BITS * N)
+    mask = _mpz((1 << (_SLOT_BITS * N)) - 1)
     acc = _mpz(_encode(_eta_cube_terms(N), N))
     for _ in range(3):
-        acc = (acc * acc) % mod
+        acc = (acc * acc) & mask
     coeffs = _decode_balanced(int(acc), N)
     return [0] + coeffs  # a(n) = coeffs[n-1]; index 0 is a dummy
 

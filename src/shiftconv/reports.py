@@ -54,14 +54,8 @@ class ExperimentReport:
         for r in self.records:
             row = dict(r)
             row["config_hash"] = self.config_hash
-            lines.append(json.dumps(row, sort_keys=True, default=_json_default))
-        lines.append(
-            json.dumps(
-                {"summary": self.summary, "config_hash": self.config_hash},
-                sort_keys=True,
-                default=_json_default,
-            )
-        )
+            lines.append(_encode_json(row))
+        lines.append(_encode_json({"summary": self.summary, "config_hash": self.config_hash}))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -84,3 +78,8 @@ def _json_default(v):
     if isinstance(v, complex):
         return {"re": v.real, "im": v.imag}
     return str(v)
+
+
+# One encoder for every row: json.dumps with keyword arguments builds a new
+# JSONEncoder per call, and a census report has one row per tuple.
+_encode_json = json.JSONEncoder(sort_keys=True, default=_json_default).encode

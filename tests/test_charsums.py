@@ -116,6 +116,78 @@ class TestSCharSum:
     def test_factored_rejects_equal_primes(self):
         with pytest.raises(InvalidDivisor):
             cs.char_sum_S_factored(1, 1, 1, 1, 5, 5)
+        with pytest.raises(InvalidDivisor):
+            cs.char_sum_S_factored(1, np.arange(1, 4), 1, 1, 7, 7)
+
+
+def scalar_census_s(family):
+    """The S census as one scalar char_sum_S_factored call per tuple."""
+    out = []
+    for q1 in family.primes:
+        for q2 in family.primes:
+            if q1 == q2:
+                continue
+            q = q1 * q2
+            for m1 in (1, q1, q2, q):
+                for n in range(1, family.n_max + 1):
+                    if math.gcd(n, q) != 1:
+                        continue
+                    for h in range(1, family.h_max + 1):
+                        if math.gcd(h, q) != 1:
+                            continue
+                        for m2 in range(1, family.m2_max + 1):
+                            v = abs(cs.char_sum_S_factored(m1, m2, n, h, q1, q2))
+                            norm = q / math.sqrt(m1) * math.sqrt(math.gcd(q // m1, m2))
+                            out.append(dict(
+                                q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h,
+                                abs_sum=v, normalizer=norm, ratio=v / norm,
+                            ))
+    return out
+
+
+class TestSFactoredArrays:
+    @pytest.mark.parametrize("q1,q2", [(3, 5), (5, 7), (7, 11)])
+    def test_broadcast_matches_direct(self, q1, q2):
+        q = q1 * q2
+        m2 = np.array([1, 3, q1, 2 * q2, q])
+        n = np.array([1, 2, q1, q + 4])[:, None, None]
+        h = np.array([0, 1, q2, 6])[:, None]
+        for m1 in (1, q1, q2, q):
+            got = cs.char_sum_S_factored(m1, m2, n, h, q1, q2)
+            assert got.shape == (4, 4, 5)
+            for i, j, k in np.ndindex(got.shape):
+                direct = cs.char_sum_S(cs.SCharParams(m1, int(m2[k]), int(n[i, 0, 0]), int(h[j, 0]), q))
+                assert abs(got[i, j, k] - direct) < 1e-9 * q
+
+    def test_large_arguments_do_not_wrap(self):
+        # products like cbar * h * b would pass 2^63 before reduction mod p
+        big = np.array([2 ** 62 + 5, 2 ** 62 - 7])
+        for m1 in (1, 3, 5, 15):
+            got = cs.char_sum_S_factored(m1, big, big[:, None], big[::-1], 3, 5)
+            for i, j in np.ndindex(got.shape):
+                m2, n, h = (int(v) % 15 for v in (big[j], big[i], big[::-1][j]))
+                assert abs(got[i, j] - cs.char_sum_S(cs.SCharParams(m1, m2, n, h, 15))) < 1e-9 * 15
+
+    def test_scalar_call_returns_complex(self):
+        for m1 in (1, 3, 5, 15):
+            assert type(cs.char_sum_S_factored(m1, 2, 1, 4, 3, 5)) is complex
+
+    def test_census_matches_scalar_loop(self):
+        fam = cs.SCensusFamily(primes=(3, 5, 7), m2_max=4, n_max=5, h_max=4)
+        got = cs.bound_census(fam).records
+        want = scalar_census_s(fam)
+        assert len(got) == len(want)
+        for r, w in zip(got, want):
+            assert list(r) == list(w)
+            assert {k: type(v) for k, v in r.items()} == {
+                **{k: int for k in ("q1", "q2", "m1", "m2", "n", "h")},
+                **{k: float for k in ("abs_sum", "normalizer", "ratio")},
+            }
+            assert [r[k] for k in ("q1", "q2", "m1", "m2", "n", "h", "normalizer")] == [
+                w[k] for k in ("q1", "q2", "m1", "m2", "n", "h", "normalizer")
+            ]
+            assert r["abs_sum"] == pytest.approx(w["abs_sum"], rel=1e-12, abs=0)
+            assert r["ratio"] == pytest.approx(w["ratio"], rel=1e-12, abs=0)
 
 
 def oracle_unit_sum(h, n, m2, q1, q2):

@@ -18,6 +18,25 @@ KNOWN_A = {
 }
 
 
+def oracle_delta_integers(N):
+    """a(1..N) from Euler's pentagonal series, independent of coeffs.
+
+    prod(1 - q^n) = sum over k in Z of (-1)^k q^{k(3k-1)/2}; its 24th power
+    is built by 24 sparse x dense products of exact integers, with neither
+    Jacobi's identity nor Kronecker substitution.  a(n) is the coefficient
+    of q^{n-1}.
+    """
+    pentagonal = [(k * (3 * k - 1) // 2, -1 if k % 2 else 1) for k in range(-N, N + 1)]
+    pentagonal = [(g, s) for g, s in pentagonal if g < N]
+    power = np.array([1] + [0] * (N - 1), dtype=object)
+    for _ in range(24):
+        nxt = np.array([0] * N, dtype=object)
+        for g, s in pentagonal:
+            nxt[g:] += s * power[: N - g]
+        power = nxt
+    return [0] + power.tolist()
+
+
 @pytest.fixture(scope="module")
 def gl2():
     return coeffs.build_gl2_table(12, 4000)
@@ -32,6 +51,12 @@ class TestGL2:
     def test_known_integers(self, gl2):
         for n, a in KNOWN_A.items():
             assert gl2.integer_values[n] == a
+
+    def test_matches_pentagonal_oracle(self):
+        got = coeffs.weight12_integer_coefficients(1000)
+        want = oracle_delta_integers(1000)
+        assert all(type(a) is int for a in want)
+        assert got == want
 
     def test_lambda_one(self, gl2):
         assert gl2.lam(1) == 1.0
