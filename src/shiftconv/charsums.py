@@ -141,7 +141,8 @@ def char_sum_S_factored(
             b = unit_residues(p)
             bb = unit_inverses(p)
             phases = _eq_pow(p, hr[..., None] * b + nr[..., None] * bb)
-            val = val * np.sum(phases * kt[bb, m2_eff[..., None]], axis=-1)
+            # contract b without materialising the broadcast product
+            val = val * np.einsum("...b,...b->...", phases, kt[bb, m2_eff[..., None]])
     return complex(val) if val.ndim == 0 else val
 
 

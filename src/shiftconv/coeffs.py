@@ -28,13 +28,6 @@ import numpy as np
 
 from .errors import InsufficientBase, OutOfRange, UnsupportedWeight
 
-try:
-    import gmpy2
-
-    _mpz = gmpy2.mpz
-except ImportError:  # gmpy2 is the optional "fast" extra; plain int gives the same integers
-    _mpz = int
-
 # Slot width for the Kronecker-substitution polynomial products.  The
 # balanced decode needs |a(n)| < 2^127, and |a(n)| <= d(n) n^{11/2}, whose
 # maximum over n <= N is about 2^117.5 at N = 10^6, 2^126.5 at 3 * 10^6 and
@@ -97,11 +90,11 @@ def weight12_integer_coefficients(N: int) -> list[int]:
         raise ValueError("need N >= 1")
     if N > _MAX_N:
         raise OutOfRange(f"N={N} beyond {_MAX_N}: coefficients would overflow the {_SLOT_BITS}-bit slots")
-    mask = _mpz((1 << (_SLOT_BITS * N)) - 1)
-    acc = _mpz(_encode(_eta_cube_terms(N), N))
+    mask = (1 << (_SLOT_BITS * N)) - 1
+    acc = _encode(_eta_cube_terms(N), N)
     for _ in range(3):
         acc = (acc * acc) & mask
-    coeffs = _decode_balanced(int(acc), N)
+    coeffs = _decode_balanced(acc, N)
     return [0] + coeffs  # a(n) = coeffs[n-1]; index 0 is a dummy
 
 

@@ -172,6 +172,21 @@ class TestSFactoredArrays:
         for m1 in (1, 3, 5, 15):
             assert type(cs.char_sum_S_factored(m1, 2, 1, 4, 3, 5)) is complex
 
+    def test_block_memory_is_linear_in_each_axis(self):
+        # a (24, 24, 24) block at p ~ 100: the (n, h, m2, b) product would be
+        # 16 * 24^3 * 100 bytes ~ 22 MB; the contraction stores ~1 MB operands
+        n = np.arange(1, 25)[:, None, None]
+        h = np.arange(1, 25)[:, None]
+        m2 = np.arange(1, 25)
+        cs.char_sum_S_factored(1, m2, n, h, 97, 101)  # warm the Kloosterman tables
+        tracemalloc.start()
+        try:
+            cs.char_sum_S_factored(1, m2, n, h, 97, 101)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
     def test_census_matches_scalar_loop(self):
         fam = cs.SCensusFamily(primes=(3, 5, 7), m2_max=4, n_max=5, h_max=4)
         got = cs.bound_census(fam).records
