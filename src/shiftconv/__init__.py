@@ -1,7 +1,7 @@
 """shiftconv: experiments on shifted convolution sums of automorphic coefficients.
 
 Submodules:
-    arith      exact modular arithmetic, Kloosterman/Ramanujan sums
+    arith      primes, units and the Kloosterman table
     coeffs     Hecke eigenvalue tables (weight-12 form and its symmetric square)
     charsums   composite character sums, closed forms and bound censuses
     circle     overlapping-interval circle-method approximant

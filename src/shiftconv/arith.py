@@ -1,9 +1,8 @@
-"""Exact modular arithmetic and the classical exponential sums.
+"""Exact modular arithmetic and the Kloosterman table.
 
 Conventions (q = 1 throughout means the empty product):
     e_q(x)   = exp(2 pi i x / q)
     phi(q)   = #units mod q, phi(1) = 1
-    c_q(n)   = sum over units a mod q of e_q(a n) = sum_{d | (n,q)} d mu(q/d)
     S(a,b;q) = sum over units x mod q of e_q(a x + b xbar),  S(a,b;1) = 1
 
 Everything here is pure and reentrant; cached tables are built once and
@@ -12,13 +11,12 @@ read-only afterwards.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import EmptyRange, NonInvertible
+from .errors import EmptyRange, InvalidDivisor, OutOfRange
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24 (covers 64-bit).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -51,7 +49,7 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> list[tuple[int, int]]:
     """(prime, exponent) pairs of n >= 1 by trial division."""
     if n < 1:
-        raise ValueError("factorize needs n >= 1")
+        raise OutOfRange("factorize needs n >= 1")
     out = []
     for p in (2, 3):
         e = 0
@@ -75,26 +73,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    ds = [1]
-    for p, e in factorize(n):
-        ds = [d * p ** k for d in ds for k in range(e + 1)]
-    return sorted(ds)
-
-
-def mobius(n: int) -> int:
-    m = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        m = -m
-    return m
-
-
 def euler_phi(q: int) -> int:
     """phi(q) via factorization; phi(1) = 1."""
     if q < 1:
-        raise ValueError("euler_phi needs q >= 1")
+        raise OutOfRange("euler_phi needs q >= 1")
     r = 1
     for p, e in factorize(q):
         r *= (p - 1) * p ** (e - 1)
@@ -109,47 +91,12 @@ class PrimeModulus:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    def __int__(self):
-        return self.p
-
-
-@dataclass(frozen=True)
-class UnitResidue:
-    """A residue a mod q with gcd(a, q) = 1, stored in [0, q)."""
-
-    a: int
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1 or not (0 <= self.a < self.q):
-            raise ValueError("need 0 <= a < q, q >= 1")
-        if math.gcd(self.a, self.q) != 1:
-            raise NonInvertible(f"gcd({self.a}, {self.q}) > 1")
-
-
-def mod_inverse(a: int, q: int) -> UnitResidue:
-    """abar with a * abar == 1 (mod q); returns 0 for q = 1."""
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    if math.gcd(a, q) != 1:
-        raise NonInvertible(f"gcd({a}, {q}) > 1")
-    return UnitResidue(pow(a, -1, q), q)
-
-
-def ramanujan_sum(q: int, n: int) -> int:
-    """c_q(n) = sum_{d | (n,q)} d mu(q/d), exact over the integers."""
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    g = math.gcd(abs(n), q)
-    return sum(d * mobius(q // d) for d in divisors(g))
+            raise InvalidDivisor(f"{self.p} is not prime")
 
 
 @lru_cache(maxsize=4096)
 def unit_residues(q: int) -> np.ndarray:
-    if q == 1:
-        return np.array([0], dtype=np.int64)
+    """The units mod q, ascending; [0] for q = 1, as gcd(0, 1) = 1."""
     r = np.arange(q, dtype=np.int64)
     return r[np.gcd(r, q) == 1]
 
@@ -157,21 +104,7 @@ def unit_residues(q: int) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def unit_inverses(q: int) -> np.ndarray:
     """Inverses of unit_residues(q), in matching order."""
-    if q == 1:
-        return np.array([0], dtype=np.int64)
     return np.array([pow(int(a), -1, q) for a in unit_residues(q)], dtype=np.int64)
-
-
-def kloosterman(a: int, b: int, q: int) -> complex:
-    """S(a, b; q) by direct summation over units (pairwise-accumulated)."""
-    if q < 1:
-        raise ValueError("modulus must be positive")
-    if q == 1:
-        return 1.0 + 0.0j
-    x = unit_residues(q)
-    xb = unit_inverses(q)
-    ph = (a * x + b * xb) % q
-    return complex(np.exp(2j * np.pi * ph / q).sum())
 
 
 @lru_cache(maxsize=256)
@@ -180,8 +113,6 @@ def kloosterman_table(q: int) -> np.ndarray:
 
     Built as a matrix product of the two phase matrices; cost q^2 phi(q).
     """
-    if q == 1:
-        return np.ones((1, 1), dtype=complex)
     x = unit_residues(q)
     xb = unit_inverses(q)
     om = np.exp(2j * np.pi / q)
@@ -199,7 +130,7 @@ def primes_in_dyadic(Q: int, exclude: int) -> list[PrimeModulus]:
     otherwise empty every segment; zero-shift experiments need the full set).
     """
     if Q < 2:
-        raise ValueError("need Q >= 2")
+        raise OutOfRange("need Q >= 2")
     ps = [
         PrimeModulus(p)
         for p in range(Q, 2 * Q + 1)

@@ -26,19 +26,16 @@ flips the sign of the Poisson phase).  T2 is the mod-q2 factor written out
 in t2_sum below.
 
 Each sum has one evaluator per use:
-    char_sum_S              direct double sum, the reference for any q;
-    char_sum_S_factored     per-prime product for q = q1 q2, taking arrays
-                            in m2, n and h (at m1 = q1 it is the Kloosterman
-                            factor times the two-variable unit sum mod q2);
-                            the S census calls it once per (q1, q2, m1)
-                            block on its whole (n, h, m2) grid;
-    s_alpha_table           S(1, alpha, n, h; q) for all alpha at once,
-                            as two length-q FFTs (O(q log q) time, O(q)
-                            memory, 16 q bytes per cached table), used by
-                            char_sum_T;
-    adolphson_sperber_grid  the two-variable unit sum mod q2 on the whole
-                            (h, n) grid, for exhaustive Adolphson-Sperber
-                            censuses.
+    char_sum_S            direct double sum, the reference for any q;
+    char_sum_S_factored   per-prime product for q = q1 q2, taking arrays
+                          in m2, n and h (at m1 = q1 it is the Kloosterman
+                          factor times the two-variable unit sum mod q2);
+                          the S census calls it once per (q1, q2, m1)
+                          block on its whole (n, h, m2) grid;
+    s_alpha_table         S(1, alpha, n, h; q) for all alpha at once,
+                          as two length-q FFTs (O(q log q) time, O(q)
+                          memory, 16 q bytes per cached table), used by
+                          char_sum_T.
 """
 
 from __future__ import annotations
@@ -88,7 +85,7 @@ class TCharParams:
 
     def __post_init__(self):
         if self.q2.p in (self.q1.p, self.q1t.p):
-            raise ValueError("q2 must avoid {q1, q1t}")
+            raise InvalidDivisor("q2 must avoid {q1, q1t}")
 
 
 def _eq_pow(q: int, exponents: np.ndarray) -> np.ndarray:
@@ -98,8 +95,6 @@ def _eq_pow(q: int, exponents: np.ndarray) -> np.ndarray:
 def char_sum_S(p: SCharParams) -> complex:
     """S(m1, m2, n, h; q) by direct double summation."""
     q = p.q
-    if q == 1:
-        return 1.0 + 0.0j
     qm = q // p.m1
     a = unit_residues(q)
     ab = unit_inverses(q)
@@ -127,6 +122,8 @@ def char_sum_S_factored(
     """
     if q1 == q2:
         raise InvalidDivisor(f"q1 and q2 must be distinct primes, got {q1} twice")
+    if m1 < 1 or q1 * q2 % m1:
+        raise InvalidDivisor(f"m1={m1} does not divide q={q1 * q2}")
     m2, n, h = (np.asarray(x, dtype=np.int64) for x in (m2, n, h))
     val = np.ones(np.broadcast_shapes(m2.shape, n.shape, h.shape), dtype=complex)
     for p, c in ((q1, q2), (q2, q1)):
@@ -144,26 +141,6 @@ def char_sum_S_factored(
             # contract b without materialising the broadcast product
             val = val * np.einsum("...b,...b->...", phases, kt[bb, m2_eff[..., None]])
     return complex(val) if val.ndim == 0 else val
-
-
-def adolphson_sperber_grid(m2: int, q1: PrimeModulus, q2: PrimeModulus) -> np.ndarray:
-    """All values of the two-variable unit sum on the full (h, n) grid mod q2.
-
-    Entry [h, n] is the sum over units a, b mod q2 of
-        e_{q2}(q1bar a h - q1bar abar n + b abar + m2 bbar),
-    the mod-q2 factor of S at m1 = q1; the b-sum is a Kloosterman sum.
-    Returns a q2 x q2 array indexed [h, n]; one einsum fills the whole grid,
-    which keeps exhaustive censuses cheap.
-    """
-    p1, p2 = q1.p, q2.p
-    q1b = pow(p1, -1, p2)
-    a = unit_residues(p2)
-    ab = unit_inverses(p2)
-    om = np.exp(2j * np.pi / p2)
-    eh = om ** (np.outer(np.arange(p2), q1b * a) % p2)          # [h, a]
-    en = om ** (np.outer(np.arange(p2), (-q1b * ab) % p2) % p2)  # [n, a]
-    v = kloosterman_table(p2)[ab, m2 % p2]
-    return np.einsum("ha,na,a->hn", eh, en, v)
 
 
 def s_alpha_table(n: int, h: int, q: int) -> np.ndarray:

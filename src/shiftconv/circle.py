@@ -9,11 +9,12 @@ where the moduli family Q = P1 x P2 consists of the products q = q1 q2 of
 primes from two disjoint dyadic segments, and L = sum phi(q) =
 Phi(P1) Phi(P2) with Phi(P) = sum (p - 1).  The Fourier coefficients are
 
-    a_n = (1/L) sum_q c_q(n) sinc(2 pi n delta),   a_0 = 1 exactly,
+    a_n = (1/L) sum_q c_q(n) sinc(2 n delta),   a_0 = 1 exactly,
 
 where sum_q c_q(n) = (sum_{p in P1} c_p(n)) (sum_{p in P2} c_p(n)) as
-c_{q1 q2} = c_{q1} c_{q2}.  The L^2 distance from 1 is sum_{n != 0} |a_n|^2
-(Parseval), reported with a certified divisor-pair tail majorant.
+c_{q1 q2} = c_{q1} c_{q2}, and sinc(x) = sin(pi x) / (pi x) as in np.sinc.
+The L^2 distance from 1 is sum_{n != 0} |a_n|^2 (Parseval), reported with
+a certified divisor-pair tail majorant.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import primes_in_dyadic, unit_residues
-from .errors import OverlappingRanges
+from .errors import OutOfRange, OverlappingRanges
 from .reports import ExperimentReport
-from .util import sinc
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class Approximant:
     def __post_init__(self):
         Q = self.moduli.max_modulus
         if not (Q ** -2.0 / 8.0 <= self.delta <= 8.0 / Q):
-            raise ValueError(f"delta={self.delta} outside [Q^-2/8, 8/Q] for Q={Q}")
+            raise OutOfRange(f"delta={self.delta} outside [Q^-2/8, 8/Q] for Q={Q}")
 
 
 def _interval_counts(A: Approximant, xs) -> np.ndarray:
@@ -106,11 +106,11 @@ def _ramanujan_rows(ms: ModuliSet, ns: np.ndarray) -> np.ndarray:
 
 
 def fourier_coeff(A: Approximant, n: int) -> complex:
-    """a_n = (1/L) sum_q c_q(n) sinc(2 pi n delta); a_0 = 1 exactly."""
+    """a_n = (1/L) sum_q c_q(n) sinc(2 n delta); a_0 = 1 exactly."""
     if n == 0:
         return 1.0 + 0.0j
     row = _ramanujan_rows(A.moduli, np.array([n]))[0]
-    return complex(row / A.moduli.L * sinc(2.0 * np.pi * n * A.delta))
+    return complex(row / A.moduli.L * np.sinc(2.0 * n * A.delta))
 
 
 @dataclass(frozen=True)
@@ -152,13 +152,13 @@ def l2_error(A: Approximant, n_max: int) -> L2Error:
     one row of d' at a time with lcm in floats, so no int64 can overflow.
     """
     if n_max < 1.0 / A.delta:
-        raise ValueError("need n_max >= 1/delta")
+        raise OutOfRange("need n_max >= 1/delta")
     L, delta = A.moduli.L, A.delta
     partial = 0.0
     chunk = 4_000_000
     for lo in range(1, n_max + 1, chunk):
         ns = np.arange(lo, min(n_max, lo + chunk - 1) + 1)
-        an = _ramanujan_rows(A.moduli, ns) / L * sinc(2.0 * np.pi * ns * delta)
+        an = _ramanujan_rows(A.moduli, ns) / L * np.sinc(2.0 * ns * delta)
         partial += 2.0 * float(np.sum(an * an))
     d, mult = np.unique(np.insert(np.array(A.moduli.members), 0, 1, axis=1), return_counts=True)
     w = (d * mult).astype(float)
@@ -179,7 +179,7 @@ def quadrature_l2_error(A: Approximant, step: float) -> float:
 
 
 def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 500.0) -> ExperimentReport:
-    """Sweep (Q1, Q2) anchors and delta = Q^e; one CSV row per combination.
+    """Sweep (Q1, Q2) anchors and delta = Q^e; one record per combination.
 
     Records L / Q^2 alongside the normalized error ratio: desk-scale prime
     counts make the density |Q| >> Q^(1-eps) unattainable, so it is reported

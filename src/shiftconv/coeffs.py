@@ -87,7 +87,7 @@ def weight12_integer_coefficients(N: int) -> list[int]:
     larger N raise OutOfRange.
     """
     if N < 1:
-        raise ValueError("need N >= 1")
+        raise OutOfRange("need N >= 1")
     if N > _MAX_N:
         raise OutOfRange(f"N={N} beyond {_MAX_N}: coefficients would overflow the {_SLOT_BITS}-bit slots")
     mask = (1 << (_SLOT_BITS * N)) - 1
@@ -240,49 +240,3 @@ def rankin_selberg_average(table, x) -> float:
     else:
         raise TypeError("expected a coefficient table")
     return float(np.sum(row * row) / x)
-
-
-def hecke_inequality_check(table: GL3CoefficientTable, q1: int, m2: int) -> bool:
-    """|lam(m2,q1)|^2 <= 2 |lam(m2,1)|^2 |lam(q1,1)|^2 + 2 |lam(m2/q1,1)|^2.
-
-    The last term drops out when q1 does not divide m2.
-    """
-    q1 = int(q1)
-    if q1 * m2 > table.N:
-        raise OutOfRange(f"q1*m2 = {q1 * m2} beyond table range {table.N}")
-    lhs = table.lam(m2, q1) ** 2
-    rhs = 2.0 * table.lam(m2, 1) ** 2 * table.lam(q1, 1) ** 2
-    if m2 % q1 == 0:
-        rhs += 2.0 * table.lam(m2 // q1, 1) ** 2
-    return lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
-
-
-def dump_table_csv(table, path) -> None:
-    """Write (index, value) rows for cross-tool validation."""
-    lines = []
-    if isinstance(table, GL2CoefficientTable):
-        lines.append("n,lambda")
-        for n in range(1, table.N + 1):
-            lines.append(f"{n},{float(table.values[n])!r}")
-    elif isinstance(table, GL3CoefficientTable):
-        lines.append("m1,m2,lambda")
-        for n in range(1, table.N + 1):
-            lines.append(f"1,{n},{float(table.first_row[n])!r}")
-    else:
-        raise TypeError("expected a coefficient table")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_table_csv(path) -> dict:
-    """Read a dump back as {index: value}; degree inferred from the header."""
-    out = {}
-    with open(path) as f:
-        header = f.readline().strip().split(",")
-        for line in f:
-            parts = line.strip().split(",")
-            if len(header) == 2:
-                out[int(parts[0])] = float(parts[1])
-            else:
-                out[(int(parts[0]), int(parts[1]))] = float(parts[2])
-    return out

@@ -1,12 +1,8 @@
 """Exception hierarchy shared by all shiftconv modules."""
 
 
-class ShiftconvError(Exception):
-    """Base class for all package errors."""
-
-
-class NonInvertible(ShiftconvError):
-    """gcd(a, q) > 1, so a has no inverse mod q."""
+class ShiftconvError(ValueError):
+    """Base class for all package errors; a ValueError, as every one is bad input."""
 
 
 class EmptyRange(ShiftconvError):
@@ -14,7 +10,7 @@ class EmptyRange(ShiftconvError):
 
 
 class InvalidDivisor(ShiftconvError):
-    """A divisibility precondition (e.g. m1 | q) is violated."""
+    """A divisibility or primality precondition (m1 | q, a prime, distinct primes) is violated."""
 
 
 class OverlappingRanges(ShiftconvError):
@@ -30,4 +26,4 @@ class InsufficientBase(ShiftconvError):
 
 
 class OutOfRange(ShiftconvError):
-    """A requested index exceeds the table range."""
+    """A size, index or parameter lies outside its allowed range."""

@@ -1,4 +1,4 @@
-"""Experiment report records with CSV / JSON-lines emission.
+"""Experiment report records with JSON-lines emission.
 
 Every record carries the config hash so any row can be traced back to the
 exact inputs that produced it.
@@ -29,11 +29,8 @@ class ExperimentReport:
         row = {c: fields[c] for c in self.columns}
         self.records.append(row)
 
-    def ratios(self, key="ratio"):
-        return [r[key] for r in self.records if key in r]
-
     def finalize(self, **extra) -> "ExperimentReport":
-        rs = self.ratios()
+        rs = [r["ratio"] for r in self.records if "ratio" in r]
         if rs:
             srt = sorted(rs)
             self.summary["max_ratio"] = max(rs)
@@ -41,13 +38,6 @@ class ExperimentReport:
         self.summary["n_records"] = len(self.records)
         self.summary.update(extra)
         return self
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.columns + ["config_hash"])]
-        for r in self.records:
-            vals = [_fmt(r[c]) for c in self.columns] + [self.config_hash]
-            lines.append(",".join(vals))
-        return "\n".join(lines) + "\n"
 
     def to_jsonl(self) -> str:
         lines = []
@@ -58,20 +48,8 @@ class ExperimentReport:
         lines.append(_encode_json({"summary": self.summary, "config_hash": self.config_hash}))
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        atomic_write_text(path, self.to_csv())
-
     def write_jsonl(self, path) -> None:
         atomic_write_text(path, self.to_jsonl())
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, complex):
-        sign = "+" if v.imag >= 0 else "-"
-        return f"{v.real!r}{sign}{abs(v.imag)!r}j"
-    return str(v)
 
 
 def _json_default(v):

@@ -7,21 +7,6 @@ import json
 import os
 import tempfile
 
-import numpy as np
-
-
-def sinc(t):
-    """sin(t)/t with sinc(0) = 1; series branch below 1e-4 to avoid cancellation."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    big = np.abs(t) > 1e-4
-    out[big] = np.sin(t[big]) / t[big]
-    ts = t[~big]
-    out[~big] = 1.0 - ts * ts / 6.0 + ts ** 4 / 120.0
-    if out.ndim == 0:
-        return float(out)
-    return out
-
 
 def canonical_hash(mapping: dict) -> str:
     """Stable hex digest of a flat configuration mapping."""

@@ -1,5 +1,6 @@
 """Character-sum tests: brute-force oracles, closed forms, vanishing laws."""
 
+import json
 import math
 import tracemalloc
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_kloosterman
 from shiftconv import charsums as cs
-from shiftconv.arith import PrimeModulus, unit_inverses, unit_residues
+from shiftconv.arith import PrimeModulus, kloosterman_table, unit_inverses, unit_residues
 from shiftconv.errors import InvalidDivisor
 
 P = PrimeModulus
@@ -70,11 +72,9 @@ class TestSCharSum:
         assert abs(got - oracle_S(m1, m2, n, h, q)) < 1e-9
 
     def test_m1_equals_q_is_kloosterman(self):
-        from shiftconv.arith import kloosterman
-
         for (q, n, h) in [(15, 1, 1), (21, 2, 4), (35, 3, 2)]:
             got = cs.char_sum_S(cs.SCharParams(q, 7, n, h, q))
-            assert abs(got - kloosterman(h, -n, q)) < 1e-9
+            assert abs(got - brute_kloosterman(h, -n, q)) < 1e-9
 
     def test_invalid_divisor(self):
         with pytest.raises(InvalidDivisor):
@@ -118,6 +118,13 @@ class TestSCharSum:
             cs.char_sum_S_factored(1, 1, 1, 1, 5, 5)
         with pytest.raises(InvalidDivisor):
             cs.char_sum_S_factored(1, np.arange(1, 4), 1, 1, 7, 7)
+
+    @pytest.mark.parametrize("m2", [2, np.arange(1, 4)], ids=["scalar", "array"])
+    @pytest.mark.parametrize("m1", [2, 7, 45, 0, -3])
+    def test_factored_rejects_non_divisor(self, m1, m2):
+        # char_sum_S rejects these m1 through SCharParams; so must the factored form
+        with pytest.raises(InvalidDivisor):
+            cs.char_sum_S_factored(m1, m2, 1, 1, 3, 5)
 
 
 def scalar_census_s(family):
@@ -216,16 +223,29 @@ def oracle_unit_sum(h, n, m2, q1, q2):
     return total
 
 
+def unit_sum_q2(m2, n, h, q1, q2):
+    """The mod-q2 factor of S at m1 = q1, from the production evaluator.
+
+    char_sum_S_factored(q1, ...) is this factor times S(q2bar h, -q2bar n; q1),
+    which for q1 in {2, 3} is +-1 or one of {2, -1}, never zero, so dividing
+    it out is exact up to rounding.
+    """
+    assert q1 in (2, 3)
+    q2b = pow(q2, -1, q1)
+    k1 = kloosterman_table(q1)[q2b * h % q1, -q2b * n % q1]
+    return cs.char_sum_S_factored(q1, m2, n, h, q1, q2) / k1
+
+
 class TestAdolphsonSperber:
     def test_brute_force(self):
-        grid = cs.adolphson_sperber_grid(1, P(3), P(5))
-        assert abs(grid[1, 1] - oracle_unit_sum(1, 1, 1, 3, 5)) < 1e-10
+        assert abs(unit_sum_q2(1, 1, 1, 3, 5) - oracle_unit_sum(1, 1, 1, 3, 5)) < 1e-10
 
     def test_grid_matches_scalar(self):
-        grid = cs.adolphson_sperber_grid(2, P(3), P(7))
-        for h in (0, 1, 5):
-            for n in (1, 6):
-                assert abs(grid[h, n] - oracle_unit_sum(h, n, 2, 3, 7)) < 1e-9
+        h = np.array([0, 1, 5])[:, None]
+        n = np.array([1, 6])
+        grid = unit_sum_q2(2, n, h, 3, 7)
+        for i, j in np.ndindex(grid.shape):
+            assert abs(grid[i, j] - oracle_unit_sum(h[i, 0], n[j], 2, 3, 7)) < 1e-9
 
     def test_generic_census(self):
         # Exhaustive over (h, n, m2) mod q2 with h, n, m2 nonzero: the
@@ -236,9 +256,9 @@ class TestAdolphsonSperber:
             for q1 in (2, 3):
                 if q1 == q2:
                     continue
-                for m2 in range(1, q2):
-                    grid = np.abs(cs.adolphson_sperber_grid(m2, P(q1), P(q2)))
-                    worst = max(worst, grid[1:, 1:].max() / q2)
+                r = np.arange(1, q2)
+                grid = np.abs(unit_sum_q2(r, r[:, None, None], r[:, None], q1, q2))
+                worst = max(worst, grid.max() / q2)
         assert worst <= 4.0
         assert worst > 2.0  # the constant genuinely exceeds 2 (observed 2.93)
 
@@ -246,7 +266,7 @@ class TestAdolphsonSperber:
         # degenerate tuples stay below the q2^{3/2} fallback
         for q2 in (5, 13, 31):
             for m2 in (q2, 2 * q2):
-                v = cs.adolphson_sperber_grid(m2, P(2), P(q2))[1, 1]
+                v = unit_sum_q2(m2, 1, 1, 2, q2)
                 assert abs(v - oracle_unit_sum(1, 1, m2, 2, q2)) < 1e-9
                 assert abs(v) <= q2 ** 1.5 + 1e-9
 
@@ -442,9 +462,9 @@ class TestBoundCensus:
         # reports are keyed by this hash; a change re-keys every stored report
         assert cs.bound_census(family).config_hash == expected
 
-    def test_csv_has_hash(self):
+    def test_jsonl_has_hash(self):
         fam = cs.SCensusFamily(primes=(3, 5), m2_max=2, n_max=2, h_max=2)
         rep = cs.bound_census(fam)
-        csv = rep.to_csv()
-        assert csv.splitlines()[0].endswith("config_hash")
-        assert rep.config_hash in csv
+        lines = [json.loads(line) for line in rep.to_jsonl().splitlines()]
+        assert len(lines) == len(rep.records) + 1
+        assert all(line["config_hash"] == rep.config_hash for line in lines)

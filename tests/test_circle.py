@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import divisors, ramanujan_sum
 from shiftconv import circle
-from shiftconv.arith import euler_phi, ramanujan_sum, unit_residues
-from shiftconv.errors import OverlappingRanges
+from shiftconv.arith import euler_phi, unit_residues
+from shiftconv.errors import OutOfRange, OverlappingRanges
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +132,7 @@ class TestApproximantEval:
             assert np.array_equal(circle.approximant_eval(A, xs + k), base)
 
     def test_delta_window_enforced(self, small_set):
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             circle.Approximant(moduli=small_set, delta=1.0)
 
 
@@ -160,9 +161,6 @@ class TestFourierCoeff:
             assert abs(circle.fourier_coeff(A, n) - direct) < 2e-3
 
     def test_trivial_bound(self, small_set):
-        from shiftconv.arith import divisors
-        import math
-
         A = circle.Approximant(moduli=small_set, delta=1.0 / small_set.max_modulus)
         for n in (1, 6, 33, 95):
             bound = sum(
@@ -173,9 +171,6 @@ class TestFourierCoeff:
     def test_tail_decay_bound(self, small_set):
         # for |n| > 1/delta the coefficient obeys the 1/(2 pi n delta) form
         A = circle.Approximant(moduli=small_set, delta=1.0 / small_set.max_modulus)
-        from shiftconv.arith import divisors
-        import math
-
         n = int(3 / A.delta)
         bound = sum(
             sum(d for d in divisors(math.gcd(n, q))) for _, _, q in small_set.members
@@ -219,7 +214,7 @@ class TestL2Error:
 
     def test_requires_nmax_past_1_over_delta(self, small_set):
         A = circle.Approximant(moduli=small_set, delta=1.0 / small_set.max_modulus)
-        with pytest.raises(ValueError):
+        with pytest.raises(OutOfRange):
             circle.l2_error(A, 10)
 
     def test_bound_shape(self, small_set):

@@ -1,0 +1,47 @@
+"""Bad input fails at the boundary with a ShiftconvError subclass."""
+
+import pytest
+
+from shiftconv import arith, charsums, circle, coeffs
+from shiftconv.errors import InvalidDivisor, OutOfRange, ShiftconvError
+
+P = arith.PrimeModulus
+
+
+def _approximant(delta):
+    return circle.Approximant(moduli=circle.build_moduli_set(3, 11, 1), delta=delta)
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: coeffs.weight12_integer_coefficients(0), OutOfRange),
+        (lambda: arith.factorize(0), OutOfRange),
+        (lambda: arith.euler_phi(0), OutOfRange),
+        (lambda: arith.primes_in_dyadic(1, 1), OutOfRange),
+        (lambda: _approximant(1.0), OutOfRange),
+        (lambda: circle.l2_error(_approximant(1.0 / 132), 10), OutOfRange),
+        (lambda: P(15), InvalidDivisor),
+        (lambda: charsums.TCharParams(n=1, m=1, h=1, q1=P(3), q1t=P(5), q2=P(5)), InvalidDivisor),
+        (lambda: charsums.TCharParams(n=1, m=1, h=1, q1=P(3), q1t=P(3), q2=P(3)), InvalidDivisor),
+    ],
+    ids=[
+        "weight12_N_below_1",
+        "factorize_n_below_1",
+        "euler_phi_q_below_1",
+        "primes_in_dyadic_Q_below_2",
+        "approximant_delta_window",
+        "l2_error_n_max_below_1_over_delta",
+        "prime_modulus_composite",
+        "t_params_q2_is_q1t",
+        "t_params_q2_is_q1",
+    ],
+)
+def test_bad_input_raises_package_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_package_errors_are_value_errors():
+    # callers that catch ValueError keep working
+    assert issubclass(ShiftconvError, ValueError)

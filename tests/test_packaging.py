@@ -1,6 +1,10 @@
-"""Packaging tests: what pyproject.toml and the package docstring promise exists."""
+"""Packaging tests: what pyproject.toml and the package docstring promise
+exists, and nothing public exists that only the tests call."""
 
+import ast
 import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -32,3 +36,33 @@ def test_dependencies_imported():
     for spec in PYPROJECT["project"]["dependencies"]:
         name = re.match(r"[\w.-]+", spec).group(0)
         assert re.search(rf"^\s*(import|from)\s+{re.escape(name)}\b", source, re.M), spec
+
+
+def test_public_names_have_a_caller_outside_tests():
+    # names and attribute names used by the package and the benchmark;
+    # a definition alone does not count, nor does any test file
+    files = [
+        f
+        for d in (ROOT / "src" / "shiftconv", ROOT / "perfbench")
+        for f in d.rglob("*.py")
+        if not f.name.startswith("test_")
+    ]
+    used = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = []
+    for info in pkgutil.iter_modules(shiftconv.__path__):
+        mod = importlib.import_module(f"shiftconv.{info.name}")
+        for name, obj in vars(mod).items():
+            if (
+                not name.startswith("_")
+                and (inspect.isfunction(obj) or inspect.isclass(obj))
+                and obj.__module__ == mod.__name__
+                and name not in used
+            ):
+                unused.append(f"{info.name}.{name}")
+    assert not unused, f"public names with no caller outside tests/: {unused}"
