@@ -18,56 +18,25 @@ import numpy as np
 
 from .errors import EmptyRange, InvalidDivisor, OutOfRange
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3e24 (covers 64-bit).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit inputs."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Primality by trial division (via factorize); O(sqrt(n)) divisions."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n >= 1 by trial division."""
+    """(prime, exponent) pairs of n >= 1, ascending, by trial division."""
     if n < 1:
         raise OutOfRange("factorize needs n >= 1")
     out = []
-    for p in (2, 3):
+    d = 2
+    while d * d <= n:
         e = 0
-        while n % p == 0:
-            n //= p
+        while n % d == 0:
+            n //= d
             e += 1
         if e:
-            out.append((p, e))
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e:
-                out.append((p, e))
-        d += 6
+            out.append((d, e))
+        d += 1
     if n > 1:
         out.append((n, 1))
     return out
@@ -97,6 +66,8 @@ class PrimeModulus:
 @lru_cache(maxsize=4096)
 def unit_residues(q: int) -> np.ndarray:
     """The units mod q, ascending; [0] for q = 1, as gcd(0, 1) = 1."""
+    if q < 1:
+        raise OutOfRange(f"need q >= 1, got {q}")
     r = np.arange(q, dtype=np.int64)
     return r[np.gcd(r, q) == 1]
 

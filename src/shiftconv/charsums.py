@@ -40,14 +40,15 @@ Each sum has one evaluator per use:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import PrimeModulus, kloosterman_table, unit_inverses, unit_residues
-from .errors import InvalidDivisor
+from .arith import PrimeModulus, is_prime, kloosterman_table, unit_inverses, unit_residues
+from .errors import InvalidDivisor, OutOfRange
 from .reports import ExperimentReport
 
 
@@ -120,8 +121,8 @@ def char_sum_S_factored(
     other; m1, q1 and q2 are integers.  The result has the broadcast shape,
     and a call with three scalars returns a complex.
     """
-    if q1 == q2:
-        raise InvalidDivisor(f"q1 and q2 must be distinct primes, got {q1} twice")
+    if q1 == q2 or not (is_prime(q1) and is_prime(q2)):
+        raise InvalidDivisor(f"q1 and q2 must be distinct primes, got {q1} and {q2}")
     if m1 < 1 or q1 * q2 % m1:
         raise InvalidDivisor(f"m1={m1} does not divide q={q1 * q2}")
     m2, n, h = (np.asarray(x, dtype=np.int64) for x in (m2, n, h))
@@ -152,6 +153,8 @@ def s_alpha_table(n: int, h: int, q: int) -> np.ndarray:
     so two length-q FFTs give every alpha at once: O(q log q) time, O(q)
     memory, and 16 q bytes per cached table.
     """
+    if q < 1:
+        raise OutOfRange(f"need q >= 1, got {q}")
     return _s_alpha_table_cached(n % q, h % q, q)
 
 
@@ -182,7 +185,7 @@ def char_sum_T(p: TCharParams) -> complex:
     t2 = t1 if q1t == q1 else s_alpha_table(p.n, p.h, qb)
     bigq = q1 * q1t * q2
     alpha = np.arange(bigq)
-    phases = np.exp(2j * np.pi * ((p.m * alpha) % bigq) / bigq)
+    phases = _eq_pow(bigq, p.m * alpha)
     return complex(np.sum(t1[alpha % qa] * np.conj(t2[alpha % qb]) * phases))
 
 
@@ -339,45 +342,33 @@ def _census_t(family: TCensusFamily) -> ExperimentReport:
     rep = ExperimentReport.for_config(
         cols, {"family": "T", "normalizer": normalizer, **family.__dict__}
     )
-    vanish_checked = 0
-    vanish_passed = 0
-    for q1 in family.q1_primes:
-        for q1t in family.q1_primes:
-            if family.diagonal != (q1 == q1t):
-                continue
-            if not family.diagonal and q1 > q1t:
-                continue  # T(q1t, q1) pairs with m -> -m; sweep unordered
-            for q2 in family.q2_primes:
-                if q2 in (q1, q1t):
-                    continue
-                for n in family.n_values:
-                    for h in family.h_values:
-                        for m in range(1, family.m_max + 1):
-                            params = TCharParams(
-                                n=n, m=(q1 * m if family.diagonal else m), h=h,
-                                q1=PrimeModulus(q1), q1t=PrimeModulus(q1t),
-                                q2=PrimeModulus(q2),
-                            )
-                            if not family.diagonal and math.gcd(m, q1 * q1t) != 1:
-                                # vanishing law tuple: count it, expect ~0
-                                v = abs(char_sum_T(params))
-                                vanish_checked += 1
-                                if v < char_sum_T_tolerance(params):
-                                    vanish_passed += 1
-                                continue
-                            v = abs(char_sum_T(params))
-                            if family.diagonal:
-                                norm = (
-                                    q1 ** 2.5 * q2 ** 2.5
-                                    * math.sqrt(math.gcd(m, q1 * q2))
-                                )
-                            else:
-                                norm = (
-                                    q1 ** 1.5 * q1t ** 1.5 * q2 ** 2.5
-                                    * math.sqrt(math.gcd(params.m, q2))
-                                )
-                            rep.add(
-                                q1=q1, q1t=q1t, q2=q2, n=n, m=params.m, h=h,
-                                abs_sum=v, normalizer=norm, ratio=v / norm,
-                            )
+    vanish_checked = vanish_passed = 0
+    grid = itertools.product(
+        family.q1_primes, family.q1_primes, family.q2_primes,
+        family.n_values, family.h_values, range(1, family.m_max + 1),
+    )
+    for q1, q1t, q2, n, h, m in grid:
+        if family.diagonal != (q1 == q1t) or q2 in (q1, q1t):
+            continue
+        if not family.diagonal and q1 > q1t:
+            continue  # T(q1t, q1) pairs with m -> -m; sweep unordered
+        params = TCharParams(
+            n=n, m=(q1 * m if family.diagonal else m), h=h,
+            q1=PrimeModulus(q1), q1t=PrimeModulus(q1t), q2=PrimeModulus(q2),
+        )
+        v = abs(char_sum_T(params))
+        if not family.diagonal and math.gcd(m, q1 * q1t) != 1:
+            # vanishing law tuple: count it, expect ~0
+            vanish_checked += 1
+            if v < char_sum_T_tolerance(params):
+                vanish_passed += 1
+            continue
+        if family.diagonal:
+            norm = q1 ** 2.5 * q2 ** 2.5 * math.sqrt(math.gcd(m, q1 * q2))
+        else:
+            norm = q1 ** 1.5 * q1t ** 1.5 * q2 ** 2.5 * math.sqrt(math.gcd(params.m, q2))
+        rep.add(
+            q1=q1, q1t=q1t, q2=q2, n=n, m=params.m, h=h,
+            abs_sum=v, normalizer=norm, ratio=v / norm,
+        )
     return rep.finalize(vanish_checked=vanish_checked, vanish_passed=vanish_passed)

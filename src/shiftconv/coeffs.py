@@ -28,12 +28,14 @@ import numpy as np
 
 from .errors import InsufficientBase, OutOfRange, UnsupportedWeight
 
-# Slot width for the Kronecker-substitution polynomial products.  The
-# balanced decode needs |a(n)| < 2^127, and |a(n)| <= d(n) n^{11/2}, whose
-# maximum over n <= N is about 2^117.5 at N = 10^6, 2^126.5 at 3 * 10^6 and
-# 2^128.9 at 4 * 10^6; _MAX_N keeps every table below the limit.
+# Slot width for the Kronecker-substitution polynomial products.  Each slot
+# holds c + 2^127 for a coefficient |c| < 2^127, so no slot borrows from the
+# next.  |a(n)| <= d(n) n^{11/2}, whose maximum over n <= N is about 2^117.5
+# at N = 10^6, 2^126.5 at 3 * 10^6 and 2^128.9 at 4 * 10^6; _MAX_N keeps
+# every table below the limit.
 _SLOT_BITS = 128
 _SLOT_BYTES = _SLOT_BITS // 8
+_HALF = 1 << (_SLOT_BITS - 1)
 _MAX_N = 3_000_000
 
 
@@ -47,33 +49,27 @@ def _eta_cube_terms(length):
     return terms
 
 
+def _offset(length):
+    """2^127 in each of `length` slots."""
+    return int.from_bytes(_HALF.to_bytes(_SLOT_BYTES, "little") * length, "little")
+
+
 def _encode(terms, length):
-    pos = bytearray(length * _SLOT_BYTES)
-    neg = bytearray(length * _SLOT_BYTES)
+    """The integer whose slot idx holds c for each (idx, c), |c| < 2^127."""
+    buf = bytearray(_HALF.to_bytes(_SLOT_BYTES, "little") * length)
     for idx, c in terms:
-        buf = pos if c > 0 else neg
-        off = idx * _SLOT_BYTES
-        buf[off : off + _SLOT_BYTES] = abs(c).to_bytes(_SLOT_BYTES, "little")
-    return int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
+        buf[idx * _SLOT_BYTES : (idx + 1) * _SLOT_BYTES] = (c + _HALF).to_bytes(_SLOT_BYTES, "little")
+    return int.from_bytes(buf, "little") - _offset(length)
 
 
-def _decode_balanced(value, length):
-    """Recover signed slot coefficients (|c| < 2^127) from value mod 2^(B*length)."""
-    value &= (1 << (_SLOT_BITS * length)) - 1
+def _decode(value, length):
+    """Signed slot coefficients (|c| < 2^127) of value mod 2^(128 length)."""
+    value = (value + _offset(length)) & ((1 << (_SLOT_BITS * length)) - 1)
     raw = value.to_bytes(length * _SLOT_BYTES, "little")
-    half = 1 << (_SLOT_BITS - 1)
-    full = 1 << _SLOT_BITS
-    out = [0] * length
-    carry = 0
-    for i in range(length):
-        v = int.from_bytes(raw[i * _SLOT_BYTES : (i + 1) * _SLOT_BYTES], "little") + carry
-        if v >= half:
-            out[i] = v - full
-            carry = 1
-        else:
-            out[i] = v
-            carry = 0
-    return out
+    return [
+        int.from_bytes(raw[i : i + _SLOT_BYTES], "little") - _HALF
+        for i in range(0, len(raw), _SLOT_BYTES)
+    ]
 
 
 def weight12_integer_coefficients(N: int) -> list[int]:
@@ -83,7 +79,7 @@ def weight12_integer_coefficients(N: int) -> list[int]:
     square is truncated to its low N slots with `& mask`, mask = 2^(128 N) - 1,
     which gives the same residue as `% 2^(128 N)` without a long division
     (CPython's `%` on big ints is quadratic).  For N <= 3 * 10^6 slot
-    arithmetic stays below 2^127, so the balanced decode is unambiguous, and
+    arithmetic stays below 2^127, so the offset decode is unambiguous, and
     larger N raise OutOfRange.
     """
     if N < 1:
@@ -94,7 +90,7 @@ def weight12_integer_coefficients(N: int) -> list[int]:
     acc = _encode(_eta_cube_terms(N), N)
     for _ in range(3):
         acc = (acc * acc) & mask
-    coeffs = _decode_balanced(acc, N)
+    coeffs = _decode(acc, N)
     return [0] + coeffs  # a(n) = coeffs[n-1]; index 0 is a dummy
 
 
@@ -102,7 +98,6 @@ def weight12_integer_coefficients(N: int) -> list[int]:
 class GL2CoefficientTable:
     """Normalized degree-2 Hecke eigenvalues lambda(n), 1 <= n <= N."""
 
-    weight: int
     N: int
     values: np.ndarray          # values[n] = lambda(n); values[0] unused
     integer_values: tuple       # exact a(n), same indexing
@@ -122,7 +117,7 @@ def build_gl2_table(k: int, N: int) -> GL2CoefficientTable:
     ns[0] = 1.0
     values = np.array([float(a) for a in ints]) / ns ** ((k - 1) / 2.0)
     values.setflags(write=False)
-    return GL2CoefficientTable(weight=k, N=N, values=values, integer_values=tuple(ints))
+    return GL2CoefficientTable(N=N, values=values, integer_values=tuple(ints))
 
 
 def _smallest_prime_factors(N):
@@ -190,6 +185,8 @@ def sym2_local_expansion(lam_p: float, kmax: int) -> np.ndarray:
 
 def build_gl3_sym2_table(base: GL2CoefficientTable, N: int) -> GL3CoefficientTable:
     """Symmetric-square lift table on m1 * m2 <= N."""
+    if N < 1:
+        raise OutOfRange("need N >= 1")
     if base.N < N:
         raise InsufficientBase(f"base covers {base.N} < {N}")
     spf = _smallest_prime_factors(N)
@@ -230,13 +227,12 @@ def rankin_selberg_average(table, x) -> float:
     if x < 1:
         raise OutOfRange("need x >= 1")
     if isinstance(table, GL3CoefficientTable):
-        if x > table.N:
-            raise OutOfRange(f"x={x} beyond table range {table.N}")
-        row = table.first_row[1 : x + 1]
+        row = table.first_row
     elif isinstance(table, GL2CoefficientTable):
-        if x > table.N:
-            raise OutOfRange(f"x={x} beyond table range {table.N}")
-        row = table.values[1 : x + 1]
+        row = table.values
     else:
         raise TypeError("expected a coefficient table")
+    if x > table.N:
+        raise OutOfRange(f"x={x} beyond table range {table.N}")
+    row = row[1 : x + 1]
     return float(np.sum(row * row) / x)

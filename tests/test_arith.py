@@ -28,6 +28,28 @@ def kl(a, b, q):
     return arith.kloosterman_table(q)[a % q, b % q]
 
 
+def brute_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+class TestFactorize:
+    @staticmethod
+    def check(n):
+        pairs = arith.factorize(n)
+        primes = [p for p, _ in pairs]
+        assert primes == sorted(set(primes))
+        assert all(brute_is_prime(p) and e >= 1 for p, e in pairs)
+        assert math.prod(p**e for p, e in pairs) == n
+
+    def test_every_n_up_to_5000(self):
+        for n in range(1, 5001):
+            self.check(n)
+
+    @pytest.mark.parametrize("n", [2**31 - 1, 2**31])
+    def test_near_2_pow_31(self, n):
+        self.check(n)
+
+
 class TestEulerPhi:
     def test_examples(self):
         assert arith.euler_phi(1) == 1
@@ -154,7 +176,11 @@ class TestPrimality:
     def test_primes(self, n):
         assert arith.is_prime(n)
 
-    @pytest.mark.parametrize("n", [0, 1, 4, 100, 7917, 2**31])
+    # Carmichael numbers (561, 1105, 1729, 41041) and strong pseudoprimes to
+    # base 2 (2047, 3277, 4033) and to bases 2, 3, 5, 7 (3215031751)
+    @pytest.mark.parametrize(
+        "n", [0, 1, 4, 100, 7917, 2**31, 561, 1105, 1729, 2047, 3277, 4033, 41041, 3215031751]
+    )
     def test_composites(self, n):
         assert not arith.is_prime(n)
 

@@ -119,6 +119,23 @@ class TestSCharSum:
         with pytest.raises(InvalidDivisor):
             cs.char_sum_S_factored(1, np.arange(1, 4), 1, 1, 7, 7)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # the per-prime formula would give 0; the direct sum at q = 36 is 18
+            lambda: cs.char_sum_S_factored(2, 1, 1, 1, 4, 9),
+            # ... and 21.44 where the direct sum at q = 45 is 0
+            lambda: cs.char_sum_S_factored(3, 2, 1, 1, 9, 5),
+            # ... and a bare ValueError from pow(15, -1, 3)
+            lambda: cs.char_sum_S_factored(1, 1, 1, 1, 3, 15),
+            lambda: cs.bound_census(cs.SCensusFamily(primes=(4, 9))),
+        ],
+        ids=["q1_composite", "q1_prime_power", "q2_multiple_of_q1", "census_composites"],
+    )
+    def test_factored_rejects_composite_moduli(self, call):
+        with pytest.raises(InvalidDivisor):
+            call()
+
     @pytest.mark.parametrize("m2", [2, np.arange(1, 4)], ids=["scalar", "array"])
     @pytest.mark.parametrize("m1", [2, 7, 45, 0, -3])
     def test_factored_rejects_non_divisor(self, m1, m2):

@@ -1,5 +1,7 @@
 """Coefficient-table tests: eta-product integers, Hecke structure, lift oracle."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,23 @@ class TestGL2:
         monkeypatch.setattr(coeffs, "_encode", fail)
         with pytest.raises(OutOfRange):
             coeffs.weight12_integer_coefficients(3_000_001)
+
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [2**127 - 1, -(2**127 - 1), 2**127 - 1, -(2**127 - 1)],
+            [-(2**127 - 1), 0, 0, 2**127 - 1, 0],
+            [0] * 6,
+            [random.Random(7).randrange(-(2**127) + 1, 2**127) for _ in range(50)],
+        ],
+        ids=["extremes", "extremes_between_zeros", "all_zero", "seeded_random"],
+    )
+    def test_slot_codec_round_trips(self, values):
+        length = len(values)
+        value = coeffs._encode([(i, c) for i, c in enumerate(values) if c], length)
+        assert value == sum(c << (128 * i) for i, c in enumerate(values))
+        assert coeffs._decode(value, length) == values
 
 
 class TestGL3:
