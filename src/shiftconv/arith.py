@@ -69,27 +69,29 @@ def unit_residues(q: int) -> np.ndarray:
     if q < 1:
         raise OutOfRange(f"need q >= 1, got {q}")
     r = np.arange(q, dtype=np.int64)
-    return r[np.gcd(r, q) == 1]
+    u = r[np.gcd(r, q) == 1]
+    u.setflags(write=False)
+    return u
 
 
 @lru_cache(maxsize=4096)
 def unit_inverses(q: int) -> np.ndarray:
     """Inverses of unit_residues(q), in matching order."""
-    return np.array([pow(int(a), -1, q) for a in unit_residues(q)], dtype=np.int64)
+    ub = np.array([pow(int(a), -1, q) for a in unit_residues(q)], dtype=np.int64)
+    ub.setflags(write=False)
+    return ub
 
 
 @lru_cache(maxsize=256)
 def kloosterman_table(q: int) -> np.ndarray:
     """Full table T[a, b] = S(a, b; q) as a q x q complex array.
 
-    Built as a matrix product of the two phase matrices; cost q^2 phi(q).
+    S(a, b; q) is the 2-D DFT of the indicator M of the pairs (x, xbar), x a
+    unit, so the table is one q x q inverse FFT; cost O(q^2 log q).
     """
-    x = unit_residues(q)
-    xb = unit_inverses(q)
-    om = np.exp(2j * np.pi / q)
-    left = om ** (np.outer(np.arange(q), x) % q)    # [a, x] = e_q(a x)
-    right = om ** (np.outer(xb, np.arange(q)) % q)  # [x, b] = e_q(b xbar)
-    t = left @ right
+    m = np.zeros((q, q))
+    m[unit_residues(q), unit_inverses(q)] = 1.0
+    t = q * q * np.fft.ifft2(m)  # [a, b] = sum over x of e_q(a x + b xbar)
     t.setflags(write=False)
     return t
 

@@ -32,10 +32,9 @@ Each sum has one evaluator per use:
                           factor times the two-variable unit sum mod q2);
                           the S census calls it once per (q1, q2, m1)
                           block on its whole (n, h, m2) grid;
-    s_alpha_table         S(1, alpha, n, h; q) for all alpha at once,
-                          as two length-q FFTs (O(q log q) time, O(q)
-                          memory, 16 q bytes per cached table), used by
-                          char_sum_T.
+    char_sum_T            built from the same per-prime factors of S: by
+                          CRT the alpha-sum splits into one sum mod each
+                          prime, O(q1 + q1t + q2) per T once cached.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import PrimeModulus, is_prime, kloosterman_table, unit_inverses, unit_residues
-from .errors import InvalidDivisor, OutOfRange
+from .errors import InvalidDivisor
 from .reports import ExperimentReport
 
 
@@ -127,83 +126,76 @@ def char_sum_S_factored(
         raise InvalidDivisor(f"m1={m1} does not divide q={q1 * q2}")
     m2, n, h = (np.asarray(x, dtype=np.int64) for x in (m2, n, h))
     val = np.ones(np.broadcast_shapes(m2.shape, n.shape, h.shape), dtype=complex)
-    for p, c in ((q1, q2), (q2, q1)):
-        cb = pow(c, -1, p)
-        kt = kloosterman_table(p)
-        # residues mod p first, so no int64 product can wrap
-        hr, nr = cb * (h % p) % p, -cb * (n % p) % p
-        if m1 % p == 0:
-            val = val * kt[hr, nr]
-        else:
-            m2_eff = cb * cb * (m2 % p) % p if m1 == 1 else m2 % p
-            b = unit_residues(p)
-            bb = unit_inverses(p)
-            phases = _eq_pow(p, hr[..., None] * b + nr[..., None] * bb)
-            # contract b without materialising the broadcast product
-            val = val * np.einsum("...b,...b->...", phases, kt[bb, m2_eff[..., None]])
+    val = val * _prime_factor(q1, q2, m1, m2, n, h) * _prime_factor(q2, q1, m1, m2, n, h)
     return complex(val) if val.ndim == 0 else val
 
 
-def s_alpha_table(n: int, h: int, q: int) -> np.ndarray:
-    """S(1, alpha, n, h; q) for every alpha mod q, as one vector.
+def _prime_factor(p, c, m1, m2, n, h):
+    """The factor of S at the prime p with cofactor c, on int64 arrays."""
+    cb = pow(c, -1, p)
+    kt = kloosterman_table(p)
+    # residues mod p first, so no int64 product can wrap
+    hr, nr = cb * (h % p) % p, -cb * (n % p) % p
+    if m1 % p == 0:
+        return kt[hr, nr]
+    m2_eff = cb * cb * (m2 % p) % p if m1 == 1 else m2 % p
+    b, bb = unit_residues(p), unit_inverses(p)
+    phases = _eq_pow(p, hr[..., None] * b + nr[..., None] * bb)
+    # contract b without materialising the broadcast product
+    return np.einsum("...b,...b->...", phases, kt[bb, m2_eff[..., None]])
 
-    As a function of alpha, S is a discrete Fourier transform twice over:
-        S(1, alpha, n, h; q) = sum over units u of f(ubar) e_q(alpha u),
-        f(t) = sum over units a of e_q(a h - abar n) e_q(abar t),
-    so two length-q FFTs give every alpha at once: O(q log q) time, O(q)
-    memory, and 16 q bytes per cached table.
-    """
-    if q < 1:
-        raise OutOfRange(f"need q >= 1, got {q}")
-    return _s_alpha_table_cached(n % q, h % q, q)
+
+@lru_cache(maxsize=1024)
+def _alpha_factor(p: int, c: int, n: int, h: int) -> np.ndarray:
+    """A(x) = factor at p of S(1, x, n, h; p c) for x mod p; keys n, h mod p.
+    By CRT, S(1, alpha, n, h; q1 q2) = A_q1(alpha mod q1) A_q2(alpha mod q2)."""
+    a = _prime_factor(p, c, 1, np.arange(p), np.int64(n), np.int64(h))
+    a.setflags(write=False)
+    return a
 
 
-@lru_cache(maxsize=512)
-def _s_alpha_table_cached(n: int, h: int, q: int) -> np.ndarray:
-    a = unit_residues(q)
-    ab = unit_inverses(q)
-    w = np.zeros(q, dtype=complex)
-    w[ab] = _eq_pow(q, h * a - n * ab)  # w[abar] = e_q(a h - abar n)
-    f = q * np.fft.ifft(w)              # f[t] = sum_b w[b] e_q(b t)
-    k = np.zeros(q, dtype=complex)
-    k[a] = f[ab]                        # k[u] = f[ubar] on the units
-    out = q * np.fft.ifft(k)
-    out.setflags(write=False)
-    return out
+def _t_factors(p: TCharParams):
+    """(A_q1, A_q2) and (B_q1t, B_q2), the alpha factors of S_a and S_b."""
+    return [[_alpha_factor(r, c, p.n % r, p.h % r) for r, c in ((q, p.q2.p), (p.q2.p, q))]
+            for q in (p.q1.p, p.q1t.p)]
 
 
 def char_sum_T(p: TCharParams) -> complex:
-    """T(n, m, h; q1, q1t, q2) by direct summation over alpha.
+    """T(n, m, h; q1, q1t, q2): its alpha-sum reindexed by CRT, exactly.
 
-    The inner S values have period q1*q2 (resp. q1t*q2) in alpha, so both
-    tables are computed once and indexed; the alpha sum itself runs over the
-    full modulus q1*q1t*q2.
+    With S_a = A_q1 A_q2 and S_b = B_q1t B_q2 (_t_factors), alpha <-> (x, y, z)
+    mod (q1, q1t, q2) splits e_Q(m alpha) into e_r(m rbar x_r) per prime r,
+    rbar = (Q/r)^-1 mod r, so for q1 != q1t T is [sum_x A_q1 e] [sum_y conj
+    B_q1t e] [sum_z A_q2 conj B_q2 e].  For q1 = q1t the summand has period
+    q1 q2: T = 0 unless m = q1 m', and then T = q1 sum over beta mod q1 q2 of
+    |S(beta)|^2 e_{q1 q2}(m' beta), which splits the same way.
     """
     q1, q1t, q2 = p.q1.p, p.q1t.p, p.q2.p
-    qa, qb = q1 * q2, q1t * q2
-    t1 = s_alpha_table(p.n, p.h, qa)
-    t2 = t1 if q1t == q1 else s_alpha_table(p.n, p.h, qb)
-    bigq = q1 * q1t * q2
-    alpha = np.arange(bigq)
-    phases = _eq_pow(bigq, p.m * alpha)
-    return complex(np.sum(t1[alpha % qa] * np.conj(t2[alpha % qb]) * phases))
+    (a1, a2), (b1, b2) = _t_factors(p)
+    if q1 == q1t:
+        if p.m % q1:
+            return 0j
+        scale, m, terms = q1, p.m // q1, [(q1, np.abs(a1) ** 2), (q2, np.abs(a2) ** 2)]
+    else:
+        scale, m, terms = 1, p.m, [(q1, a1), (q1t, np.conj(b1)), (q2, a2 * np.conj(b2))]
+    big = math.prod(r for r, _ in terms)
+    return scale * math.prod(
+        complex(v @ _eq_pow(r, m * pow(big // r, -1, r) % r * np.arange(r))) for r, v in terms
+    )
 
 
 def char_sum_T_tolerance(p: TCharParams) -> float:
     """Absolute float error allowed in char_sum_T, for the vanishing laws.
 
     A float error model, not a proven bound: each of the Q = q1 q1t q2
-    alpha-terms has modulus at most max|S_a| max|S_b|, where S_a and S_b are
-    the two s_alpha_table vectors, and the computed sum is off by a small
-    multiple of epsilon times Q max|S_a| max|S_b|.  On the vanishing laws the
-    measured |T| stays below 0.3 epsilon Q max|S_a| max|S_b|, so the factor
-    16 leaves a wide margin; a T that does not vanish is many orders of
-    magnitude larger.
+    alpha-terms has modulus at most max|S_a| max|S_b| (max|S_a| = max|A_q1|
+    max|A_q2|, and so for S_b), and the computed sum is off by a small multiple
+    of epsilon times Q max|S_a| max|S_b|.  On the vanishing laws the measured
+    |T| stays below 0.4 epsilon Q max|S_a| max|S_b|, so the factor 16 leaves
+    a wide margin; a T that does not vanish is many orders of magnitude larger.
     """
-    q1, q1t, q2 = p.q1.p, p.q1t.p, p.q2.p
-    sa = np.abs(s_alpha_table(p.n, p.h, q1 * q2)).max()
-    sb = np.abs(s_alpha_table(p.n, p.h, q1t * q2)).max()
-    return float(16 * np.finfo(float).eps * q1 * q1t * q2 * sa * sb)
+    sa, sb = (np.abs(u).max() * np.abs(v).max() for u, v in _t_factors(p))
+    return float(16 * np.finfo(float).eps * p.q1.p * p.q1t.p * p.q2.p * sa * sb)
 
 
 def t1_closed_form(p: TCharParams, which: str = "q1") -> complex:

@@ -125,6 +125,7 @@ def _smallest_prime_factors(N):
     for p in range(2, N + 1):
         if spf[p] == 0:
             spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
+    spf.setflags(write=False)
     return spf
 
 

@@ -137,12 +137,26 @@ class TestKloosterman:
                 for b in (0, 2):
                     assert abs(t[a % q, b % q] - brute_kloosterman(a, b, q)) < 1e-10
 
+    def test_table_matches_brute_force_at_211(self):
+        q = 211
+        t = arith.kloosterman_table(q)
+        for a, b in np.random.default_rng(211).integers(0, q, (12, 2)):
+            assert abs(t[a, b] - brute_kloosterman(int(a), int(b), q)) < 1e-9
+
     def test_weil_bound_small(self):
         for p in (3, 5, 7, 11, 13):
             t = arith.kloosterman_table(p)
             units = arith.unit_residues(p)
             sub = np.abs(t[np.ix_(units, units)])
             assert sub.max() <= 2.0 * np.sqrt(p) + 1e-9
+
+
+@pytest.mark.parametrize("table", [arith.unit_residues, arith.unit_inverses, arith.kloosterman_table])
+def test_cached_tables_are_read_only(table):
+    # a write would change every later caller's result
+    t = table(7)
+    with pytest.raises(ValueError):
+        t += 0
 
 
 class TestPrimesInDyadic:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_kloosterman
+from oracles import brute_kloosterman, direct_t
 from shiftconv import charsums as cs
-from shiftconv.arith import PrimeModulus, kloosterman_table, unit_inverses, unit_residues
+from shiftconv.arith import PrimeModulus, factorize, kloosterman_table
 from shiftconv.errors import InvalidDivisor
 
 P = PrimeModulus
@@ -303,43 +303,48 @@ def oracle_s_alpha(n, h, q, alphas):
 
 
 class TestAlphaTable:
+    """S(1, alpha, n, h; q1 q2) for every alpha, as char_sum_T consumes it."""
+
     def test_matches_scalar(self):
-        t = cs.s_alpha_table(2, 3, 15)
+        t = cs.char_sum_S_factored(1, np.arange(15), 2, 3, 3, 5)
         for alpha in (0, 1, 7, 14):
             direct = cs.char_sum_S(cs.SCharParams(1, alpha, 2, 3, 15))
             assert abs(t[alpha] - direct) < 1e-9
 
-    @pytest.mark.parametrize("q", [1, 15, 35, 221])
+    @pytest.mark.parametrize("q", [15, 35, 221])
     def test_matches_oracle_every_alpha(self, q):
+        (q1, _), (q2, _) = factorize(q)
         for n, h in [(1, 1), (2, 3), (4, 0)]:
-            got = cs.s_alpha_table(n, h, q)
+            got = cs.char_sum_S_factored(1, np.arange(q), n, h, q1, q2)
             assert np.abs(got - oracle_s_alpha(n, h, q, range(q))).max() < 1e-9 * q
 
     def test_matches_oracle_seeded_alpha_large_q(self):
         q = 1591  # 37 * 43
         alphas = np.random.default_rng(5).integers(0, q, 8)
-        got = cs.s_alpha_table(3, 2, q)[alphas]
+        got = cs.char_sum_S_factored(1, alphas, 3, 2, 37, 43)
         assert np.abs(got - oracle_s_alpha(3, 2, q, alphas)).max() < 1e-9 * q
 
-    def test_read_only_and_cached_by_residue(self):
-        q = 35
-        t = cs.s_alpha_table(4, 6, q)
-        assert not t.flags.writeable
-        assert cs.s_alpha_table(4 + q, 6 - q, q) is t
+    def test_alpha_factor_is_the_crt_split(self):
+        # S(1, alpha; q1 q2) = A_q1(alpha mod q1) A_q2(alpha mod q2)
+        q1, q2, n, h = 7, 11, 3, 5
+        a1 = cs._alpha_factor(q1, q2, n, h)
+        a2 = cs._alpha_factor(q2, q1, n, h)
+        alpha = np.arange(q1 * q2)
+        want = cs.char_sum_S_factored(1, alpha, n, h, q1, q2)
+        assert np.abs(a1[alpha % q1] * a2[alpha % q2] - want).max() < 1e-9 * q1 * q2
 
-    def test_memory_is_linear_in_q(self):
-        # two q x q complex matrices would take ~90 MB at q = 1591
-        q = 1591
-        unit_residues(q)
-        unit_inverses(q)
-        cs._s_alpha_table_cached.cache_clear()
-        tracemalloc.start()
-        try:
-            cs.s_alpha_table(1, 1, q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+    def test_alpha_factor_read_only_and_keyed_by_residue(self):
+        a = cs._alpha_factor(13, 17, 4, 6)
+        assert not a.flags.writeable
+        assert a.shape == (13,)
+        # T at (n, h) and at (n + Q, h - Q) reads the same cached factors
+        q = 13 * 19 * 17
+        cs.char_sum_T(tparams(4, 2, 6, 13, 19, 17))
+        before = cs._alpha_factor.cache_info()
+        cs.char_sum_T(tparams(4 + q, 2, 6 - q, 13, 19, 17))
+        after = cs._alpha_factor.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 4
 
 
 class TestTCharSum:
@@ -383,6 +388,59 @@ class TestTCharSum:
             a = cs.char_sum_T(tparams(1, m, 1, 3, 3, 7))
             b = cs.char_sum_T(tparams(1, -m, 1, 3, 3, 7))
             assert abs(abs(a) - abs(b)) < 1e-6 * max(1.0, abs(a))
+
+
+# diagonal and off-diagonal triples, the primes 2 and 3 included
+SWEEP_TRIPLES = [
+    (2, 3, 5), (3, 2, 5), (2, 2, 3), (3, 3, 2), (5, 7, 2), (7, 5, 3), (5, 5, 13),
+    (7, 11, 13), (13, 11, 7), (11, 11, 2), (13, 13, 7), (3, 13, 11),
+]
+
+
+class TestTAgainstAlphaSum:
+    """char_sum_T against the full alpha-sum over q1 q1t q2 (direct_t)."""
+
+    @pytest.mark.parametrize("q1,q1t,q2", SWEEP_TRIPLES)
+    def test_sweep(self, q1, q1t, q2):
+        ms = list(range(-2, 13)) + [q1, q2, q1 * q1t]
+        vanishing = 0
+        for n in (0, 1, 3):
+            for h in (0, 1, 3):
+                for m in ms:
+                    p = tparams(n, m, h, q1, q1t, q2)
+                    got, want = cs.char_sum_T(p), direct_t(n, m, h, q1, q1t, q2)
+                    tol = cs.char_sum_T_tolerance(p)
+                    if abs(want) < tol:
+                        vanishing += 1
+                        assert abs(got) < tol
+                    else:
+                        assert abs(got - want) <= 1e-9 * abs(want)
+        # both branches ran: the vanishing laws and genuine values
+        assert 0 < vanishing < 9 * len(ms)
+
+    @pytest.mark.parametrize(
+        "n,m,h,q1,q1t,q2", [(1, 2, 1, 101, 103, 211), (2, 101, 1, 101, 101, 211), (1, 3, 2, 101, 101, 211)]
+    )
+    def test_hundreds(self, n, m, h, q1, q1t, q2):
+        p = tparams(n, m, h, q1, q1t, q2)
+        got, want = cs.char_sum_T(p), direct_t(n, m, h, q1, q1t, q2)
+        if q1 == q1t and m % q1:
+            assert got == 0 and abs(want) < cs.char_sum_T_tolerance(p)
+        else:
+            assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_memory_is_linear_in_the_primes(self):
+        # the full alpha-sum held length-q1 q1t q2 arrays: 159 MB here
+        for q in (101, 103, 211):
+            kloosterman_table(q)
+        cs._alpha_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            cs.char_sum_T(tparams(1, 2, 1, 101, 103, 211))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
 
 class TestClosedForms:

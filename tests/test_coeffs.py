@@ -184,6 +184,12 @@ class TestGL3:
         with pytest.raises(InsufficientBase):
             coeffs.build_gl3_sym2_table(gl2, gl2.N + 1)
 
+    def test_spf_is_read_only(self, gl3):
+        # lam factors through spf; a write would change every later lam
+        spf = gl3.spf
+        with pytest.raises(ValueError):
+            spf += 0
+
 
 class TestRankinSelberg:
     def test_x_one(self, gl3):

@@ -24,7 +24,6 @@ def _approximant(delta):
         (lambda: coeffs.build_gl3_sym2_table(coeffs.build_gl2_table(12, 10), -3), OutOfRange),
         (lambda: coeffs.build_gl3_sym2_table(coeffs.build_gl2_table(12, 10), 0), OutOfRange),
         (lambda: arith.kloosterman_table(0), OutOfRange),
-        (lambda: charsums.s_alpha_table(1, 1, 0), OutOfRange),
         (lambda: P(15), InvalidDivisor),
         (lambda: charsums.TCharParams(n=1, m=1, h=1, q1=P(3), q1t=P(5), q2=P(5)), InvalidDivisor),
         (lambda: charsums.TCharParams(n=1, m=1, h=1, q1=P(3), q1t=P(3), q2=P(3)), InvalidDivisor),
@@ -39,7 +38,6 @@ def _approximant(delta):
         "gl3_table_N_negative",
         "gl3_table_N_zero",
         "kloosterman_table_q_below_1",
-        "s_alpha_table_q_below_1",
         "prime_modulus_composite",
         "t_params_q2_is_q1t",
         "t_params_q2_is_q1",
