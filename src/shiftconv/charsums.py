@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import PrimeModulus, is_prime, kloosterman_table, unit_inverses, unit_residues
-from .errors import InvalidDivisor
+from .errors import InvalidDivisor, OutOfRange
 from .reports import ExperimentReport
 
 
@@ -187,12 +187,12 @@ def char_sum_T(p: TCharParams) -> complex:
 def char_sum_T_tolerance(p: TCharParams) -> float:
     """Absolute float error allowed in char_sum_T, for the vanishing laws.
 
-    A float error model, not a proven bound: each of the Q = q1 q1t q2
-    alpha-terms has modulus at most max|S_a| max|S_b| (max|S_a| = max|A_q1|
-    max|A_q2|, and so for S_b), and the computed sum is off by a small multiple
-    of epsilon times Q max|S_a| max|S_b|.  On the vanishing laws the measured
-    |T| stays below 0.4 epsilon Q max|S_a| max|S_b|, so the factor 16 leaves
-    a wide margin; a T that does not vanish is many orders of magnitude larger.
+    A float error model, not a proven bound.  T is a product of three short
+    sums (F_q1 F_q1t F_q2; q1 F_q1 F_q2 on the diagonal), so |T| <= B = Q
+    max|S_a| max|S_b|, Q = q1 q1t q2 (max|S_a| = max|A_q1| max|A_q2|, and so
+    for S_b).  A T that vanishes through one factor comes out as a small
+    multiple of epsilon B: below 0.4 epsilon B on the vanishing laws, so the
+    factor 16 leaves a wide margin; a T that does not vanish is far larger.
     """
     sa, sb = (np.abs(u).max() * np.abs(v).max() for u, v in _t_factors(p))
     return float(16 * np.finfo(float).eps * p.q1.p * p.q1t.p * p.q2.p * sa * sb)
@@ -213,7 +213,7 @@ def t1_closed_form(p: TCharParams, which: str = "q1") -> complex:
     elif which == "q1t":
         pr, other, m = p.q1t.p, p.q1.p, -p.m
     else:
-        raise ValueError("which must be 'q1' or 'q1t'")
+        raise OutOfRange(f"which must be 'q1' or 'q1t', got {which!r}")
     if m % pr == 0:
         return 0.0 + 0.0j
     q2b = pow(p.q2.p, -1, pr)

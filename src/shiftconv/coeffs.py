@@ -16,6 +16,10 @@ at prime powers are Schur polynomials in these parameters,
 where h_k = lam(p^k, 1) satisfies h_k = c(h_{k-1} - h_{k-2}) + h_{k-3} with
 c = lambda2(p)^2 - 1, and values extend multiplicatively across primes.
 
+The first row lam(1, n) is a sieve over prime powers: for each prime p <= N,
+one array product multiplies every multiple of p by lam(1, p^s), s its p-adic
+valuation.  lam(m1, m2) factors m1 m2 with arith.factorize instead.
+
 Tables are built once and immutable afterwards; reads are thread-safe.
 """
 
@@ -23,9 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
+from .arith import factorize
 from .errors import InsufficientBase, OutOfRange, UnsupportedWeight
 
 # Slot width for the Kronecker-substitution polynomial products.  Each slot
@@ -120,13 +126,10 @@ def build_gl2_table(k: int, N: int) -> GL2CoefficientTable:
     return GL2CoefficientTable(N=N, values=values, integer_values=tuple(ints))
 
 
-def _smallest_prime_factors(N):
-    spf = np.zeros(N + 1, dtype=np.int64)
-    for p in range(2, N + 1):
-        if spf[p] == 0:
-            spf[p::p] = np.where(spf[p::p] == 0, p, spf[p::p])
-    spf.setflags(write=False)
-    return spf
+def _local(h, r, s):
+    """lam(p^r, p^s) = h_{r+s} h_s - h_{r+s+1} h_{s-1} from p's h table (h_{-1} = 0)."""
+    hm1 = h[s - 1] if s >= 1 else 0.0
+    return h[r + s] * h[s] - h[r + s + 1] * hm1
 
 
 @dataclass(frozen=True)
@@ -134,25 +137,14 @@ class GL3CoefficientTable:
     """Symmetric-square coefficients lam(m1, m2) for m1 * m2 <= N."""
 
     N: int
-    base: GL2CoefficientTable
-    h_tables: dict = field(repr=False)       # prime -> array of h_k values
-    first_row: np.ndarray = field(repr=False)  # first_row[n] = lam(1, n)
-    spf: np.ndarray = field(repr=False)
-
-    def _local(self, p: int, r: int, s: int) -> float:
-        h = self.h_tables[p]
-        if r + s + 1 >= len(h):
-            raise OutOfRange(f"prime power {p}^{r + s} beyond table")
-        hm1 = h[s - 1] if s >= 1 else 0.0
-        return h[r + s] * h[s] - h[r + s + 1] * hm1
+    h_tables: MappingProxyType = field(repr=False)  # prime -> array of h_k values
+    first_row: np.ndarray = field(repr=False)       # first_row[n] = lam(1, n)
 
     def lam(self, m1: int, m2: int) -> float:
         if m1 < 1 or m2 < 1 or m1 * m2 > self.N:
             raise OutOfRange(f"(m1, m2) = ({m1}, {m2}) outside m1*m2 <= {self.N}")
         val = 1.0
-        n = m1 * m2
-        while n > 1:
-            p = int(self.spf[n])
+        for p, _ in factorize(m1 * m2):  # p^(r + s) <= N, inside p's h table
             r = 0
             while m1 % p == 0:
                 m1 //= p
@@ -161,8 +153,7 @@ class GL3CoefficientTable:
             while m2 % p == 0:
                 m2 //= p
                 s += 1
-            val *= self._local(p, r, s)
-            n = m1 * m2
+            val *= _local(self.h_tables[p], r, s)
         return val
 
 
@@ -190,36 +181,36 @@ def build_gl3_sym2_table(base: GL2CoefficientTable, N: int) -> GL3CoefficientTab
         raise OutOfRange("need N >= 1")
     if base.N < N:
         raise InsufficientBase(f"base covers {base.N} < {N}")
-    spf = _smallest_prime_factors(N)
+    sieve = np.ones(N + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(N) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    # Multiplicative sieve, largest prime first: each first[n] multiplies its
+    # local factors onto 1.0 from the largest prime down; that order fixes rounding.
     h_tables = {}
-    for p in range(2, N + 1):
-        if spf[p] != p:
-            continue
+    first = np.ones(N + 1)
+    for p in np.flatnonzero(sieve)[::-1].tolist():
         kmax = 1
         while p ** kmax <= N:
             kmax += 1
         c = base.lam(p) ** 2 - 1.0
-        h = np.zeros(kmax + 3)
-        h[0] = 1.0
-        for k in range(1, kmax + 3):
-            h[k] = c * (h[k - 1] - (h[k - 2] if k >= 2 else 0.0)) + (
-                h[k - 3] if k >= 3 else 0.0
-            )
-        h.setflags(write=False)
-        h_tables[p] = h
-    # dense first row lam(1, n) via the smallest-prime-factor sieve
-    first = np.ones(N + 1)
-    for n in range(2, N + 1):
-        p = int(spf[n])
-        m, s = n, 0
-        while m % p == 0:
-            m //= p
-            s += 1
-        h = h_tables[p]
-        local = h[s] * h[s] - h[s + 1] * h[s - 1]
-        first[n] = first[m] * local
+        h = [0.0, 0.0, 1.0]  # h_{-2}, h_{-1}, h_0, then the recurrence
+        for _ in range(kmax + 2):
+            h.append(c * (h[-1] - h[-2]) + h[-3])
+        h = h[2:]
+        local = np.array([_local(h, 0, s) for s in range(1, kmax)])  # lam(1, p^s)
+        h_tables[p] = np.array(h)
+        h_tables[p].setflags(write=False)
+        v = np.zeros(N // p, dtype=np.intp)  # v[j - 1] = ord_p(j), so p j has s = v + 1
+        pk = p
+        while pk <= N // p:
+            v[pk - 1 :: pk] += 1
+            pk *= p
+        first[p::p] *= local[v]
     first.setflags(write=False)
-    return GL3CoefficientTable(N=N, base=base, h_tables=h_tables, first_row=first, spf=spf)
+    h_tables = MappingProxyType(dict(reversed(h_tables.items())))  # ascending primes
+    return GL3CoefficientTable(N=N, h_tables=h_tables, first_row=first)
 
 
 def rankin_selberg_average(table, x) -> float:

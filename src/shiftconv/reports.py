@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .util import atomic_write_text, canonical_hash
+from .util import _json_default, atomic_write_text, canonical_hash
 
 
 @dataclass
@@ -50,12 +50,6 @@ class ExperimentReport:
 
     def write_jsonl(self, path) -> None:
         atomic_write_text(path, self.to_jsonl())
-
-
-def _json_default(v):
-    if isinstance(v, complex):
-        return {"re": v.real, "im": v.imag}
-    return str(v)
 
 
 # One encoder for every row: json.dumps with keyword arguments builds a new

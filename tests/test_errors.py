@@ -27,6 +27,12 @@ def _approximant(delta):
         (lambda: P(15), InvalidDivisor),
         (lambda: charsums.TCharParams(n=1, m=1, h=1, q1=P(3), q1t=P(5), q2=P(5)), InvalidDivisor),
         (lambda: charsums.TCharParams(n=1, m=1, h=1, q1=P(3), q1t=P(3), q2=P(3)), InvalidDivisor),
+        (
+            lambda: charsums.t1_closed_form(
+                charsums.TCharParams(n=1, m=1, h=1, q1=P(3), q1t=P(5), q2=P(7)), "q2"
+            ),
+            OutOfRange,
+        ),
     ],
     ids=[
         "weight12_N_below_1",
@@ -41,6 +47,7 @@ def _approximant(delta):
         "prime_modulus_composite",
         "t_params_q2_is_q1t",
         "t_params_q2_is_q1",
+        "t1_closed_form_which_unknown",
     ],
 )
 def test_bad_input_raises_package_error(call, error):
