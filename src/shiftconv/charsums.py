@@ -31,7 +31,9 @@ Each sum has one evaluator per use:
                           in m2, n and h (at m1 = q1 it is the Kloosterman
                           factor times the two-variable unit sum mod q2);
                           the S census calls it once per (q1, q2, m1)
-                          block on its whole (n, h, m2) grid;
+                          block on its whole (n, h, m2) grid and appends
+                          the block to its report as columns, one array
+                          per field;
     char_sum_T            built from the same per-prime factors of S: by
                           CRT the alpha-sum splits into one sum mod each
                           prime, O(q1 + q1t + q2) per T once cached.
@@ -40,7 +42,9 @@ Each sum has one evaluator per use:
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,6 +53,8 @@ import numpy as np
 from .arith import PrimeModulus, is_prime, kloosterman_table, unit_inverses, unit_residues
 from .errors import InvalidDivisor, OutOfRange
 from .reports import ExperimentReport
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -305,6 +311,7 @@ def bound_census(family) -> ExperimentReport:
 def _census_s(family: SCensusFamily) -> ExperimentReport:
     cols = ["q1", "q2", "m1", "m2", "n", "h", "abs_sum", "normalizer", "ratio"]
     rep = ExperimentReport.for_config(cols, {"family": "S", **family.__dict__})
+    t0 = time.perf_counter()
     m2s = list(range(1, family.m2_max + 1))
     for q1 in family.primes:
         for q2 in family.primes:
@@ -313,18 +320,18 @@ def _census_s(family: SCensusFamily) -> ExperimentReport:
             q = q1 * q2
             ns = [n for n in range(1, family.n_max + 1) if math.gcd(n, q) == 1]
             hs = [h for h in range(1, family.h_max + 1) if math.gcd(h, q) == 1]
-            n_grid, h_grid = np.reshape(ns, (-1, 1, 1)), np.reshape(hs, (-1, 1))
+            n_ax, h_ax = np.reshape(ns, (-1, 1, 1)), np.reshape(hs, (-1, 1))
+            # one block per m1 on axes (n, h, m2), flattened in record order
+            n, h, m2 = (g.ravel() for g in np.meshgrid(ns, hs, m2s, indexing="ij"))
             for m1 in (1, q1, q2, q):
-                # one call per block; axes (n, h, m2), the record order
-                block = char_sum_S_factored(m1, m2s, n_grid, h_grid, q1, q2)
-                norms = [_s_normalizer(q, m1, m2) for m2 in m2s]
-                for n, row in zip(ns, np.abs(block).tolist()):
-                    for h, vs in zip(hs, row):
-                        for m2, v, norm in zip(m2s, vs, norms):
-                            rep.add(
-                                q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h,
-                                abs_sum=v, normalizer=norm, ratio=v / norm,
-                            )
+                block = np.abs(char_sum_S_factored(m1, m2s, n_ax, h_ax, q1, q2))
+                norm = np.broadcast_to([_s_normalizer(q, m1, v) for v in m2s], block.shape).ravel()
+                abs_sum = block.ravel()
+                rep.add(
+                    q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h,
+                    abs_sum=abs_sum, normalizer=norm, ratio=abs_sum / norm,
+                )
+            log.debug("S census (q1, q2) = (%d, %d): %d rows, %.3f s", q1, q2, len(rep), time.perf_counter() - t0)
     return rep.finalize()
 
 
@@ -334,33 +341,35 @@ def _census_t(family: TCensusFamily) -> ExperimentReport:
     rep = ExperimentReport.for_config(
         cols, {"family": "T", "normalizer": normalizer, **family.__dict__}
     )
+    t0 = time.perf_counter()
     vanish_checked = vanish_passed = 0
-    grid = itertools.product(
-        family.q1_primes, family.q1_primes, family.q2_primes,
-        family.n_values, family.h_values, range(1, family.m_max + 1),
-    )
-    for q1, q1t, q2, n, h, m in grid:
+    for q1, q1t, q2 in itertools.product(family.q1_primes, family.q1_primes, family.q2_primes):
         if family.diagonal != (q1 == q1t) or q2 in (q1, q1t):
             continue
         if not family.diagonal and q1 > q1t:
             continue  # T(q1t, q1) pairs with m -> -m; sweep unordered
-        params = TCharParams(
-            n=n, m=(q1 * m if family.diagonal else m), h=h,
-            q1=PrimeModulus(q1), q1t=PrimeModulus(q1t), q2=PrimeModulus(q2),
-        )
-        v = abs(char_sum_T(params))
-        if not family.diagonal and math.gcd(m, q1 * q1t) != 1:
-            # vanishing law tuple: count it, expect ~0
-            vanish_checked += 1
-            if v < char_sum_T_tolerance(params):
-                vanish_passed += 1
-            continue
-        if family.diagonal:
-            norm = q1 ** 2.5 * q2 ** 2.5 * math.sqrt(math.gcd(m, q1 * q2))
-        else:
-            norm = q1 ** 1.5 * q1t ** 1.5 * q2 ** 2.5 * math.sqrt(math.gcd(params.m, q2))
-        rep.add(
-            q1=q1, q1t=q1t, q2=q2, n=n, m=params.m, h=h,
-            abs_sum=v, normalizer=norm, ratio=v / norm,
+        for n, h, m in itertools.product(family.n_values, family.h_values, range(1, family.m_max + 1)):
+            params = TCharParams(
+                n=n, m=(q1 * m if family.diagonal else m), h=h,
+                q1=PrimeModulus(q1), q1t=PrimeModulus(q1t), q2=PrimeModulus(q2),
+            )
+            v = abs(char_sum_T(params))
+            if not family.diagonal and math.gcd(m, q1 * q1t) != 1:
+                # vanishing law tuple: count it, expect ~0
+                vanish_checked += 1
+                if v < char_sum_T_tolerance(params):
+                    vanish_passed += 1
+                continue
+            if family.diagonal:
+                norm = q1 ** 2.5 * q2 ** 2.5 * math.sqrt(math.gcd(m, q1 * q2))
+            else:
+                norm = q1 ** 1.5 * q1t ** 1.5 * q2 ** 2.5 * math.sqrt(math.gcd(params.m, q2))
+            rep.add(
+                q1=q1, q1t=q1t, q2=q2, n=n, m=params.m, h=h,
+                abs_sum=v, normalizer=norm, ratio=v / norm,
+            )
+        log.debug(
+            "T census (q1, q1t, q2) = (%d, %d, %d): %d rows, %.3f s",
+            q1, q1t, q2, len(rep), time.perf_counter() - t0,
         )
     return rep.finalize(vanish_checked=vanish_checked, vanish_passed=vanish_passed)

@@ -19,7 +19,9 @@ a certified divisor-pair tail majorant.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,8 @@ import numpy as np
 from .arith import primes_in_dyadic, unit_residues
 from .errors import OutOfRange, OverlappingRanges
 from .reports import ExperimentReport
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -190,6 +194,7 @@ def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 
         cols,
         {"anchors": list(anchors), "delta_exponents": list(delta_exponents), "h": h},
     )
+    t0 = time.perf_counter()
     for Q1, Q2 in anchors:
         ms = build_moduli_set(Q1, Q2, h)
         Q = ms.max_modulus
@@ -202,4 +207,8 @@ def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 
                 Q1=Q1, Q2=Q2, delta=delta, L=ms.L, density=ms.L / Q ** 2,
                 error=err, bound=bound, ratio=err / bound,
             )
+        log.debug(
+            "L2 census (Q1, Q2) = (%d, %d): %d members, %d rows, %.3f s",
+            Q1, Q2, len(ms.members), len(rep), time.perf_counter() - t0,
+        )
     return rep.finalize()

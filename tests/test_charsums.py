@@ -1,6 +1,7 @@
 """Character-sum tests: brute-force oracles, closed forms, vanishing laws."""
 
 import json
+import logging
 import math
 import tracemalloc
 
@@ -524,6 +525,49 @@ class TestBoundCensus:
         rep = cs.bound_census(fam)
         assert rep.records == []
         assert "max_ratio" not in rep.summary
+
+    def test_zero_length_blocks(self):
+        # each (q1, q2, m1) block is empty; the scalar q1, q2, m1 must not
+        # broadcast to a row
+        rep = cs.bound_census(cs.SCensusFamily(primes=(5, 7), h_max=0))
+        assert rep.records == []
+        assert [json.loads(line) for line in rep.to_jsonl().splitlines()] == [
+            {"summary": {"n_records": 0}, "config_hash": rep.config_hash}
+        ]
+
+    def test_s_report_memory(self):
+        # the benchmark's S family: 86,016 rows, 15.6 MB of JSON lines
+        fam = cs.SCensusFamily(primes=(11, 13, 17, 19, 23, 29, 31), m2_max=8, n_max=8, h_max=8)
+        tracemalloc.start()
+        try:
+            rep = cs.bound_census(fam)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            text = rep.to_jsonl()
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert held < 10_000_000
+        assert peak < 3 * len(text)
+
+    def test_progress_is_logged_at_debug_only(self, caplog):
+        s_fam = cs.SCensusFamily(primes=(3, 5, 7), m2_max=2, n_max=2, h_max=2)
+        t_fam = cs.TCensusFamily(q1_primes=(3, 5), q2_primes=(7, 11), m_max=3)
+        with caplog.at_level(logging.INFO, logger="shiftconv"):
+            quiet = [cs.bound_census(f).to_jsonl() for f in (s_fam, t_fam)]
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="shiftconv"):
+            loud = [cs.bound_census(f).to_jsonl() for f in (s_fam, t_fam)]
+        assert loud == quiet
+        lines = [r.getMessage() for r in caplog.records if r.name == "shiftconv.charsums"]
+        # one line per ordered prime pair of S, one per unordered T triple
+        assert [line.split(":")[0] for line in lines] == [
+            *(f"S census (q1, q2) = ({a}, {b})" for a in (3, 5, 7) for b in (3, 5, 7) if a != b),
+            "T census (q1, q1t, q2) = (3, 5, 7)",
+            "T census (q1, q1t, q2) = (3, 5, 11)",
+        ]
+        s_rows, t_rows = (json.loads(text.splitlines()[-1])["summary"]["n_records"] for text in loud)
+        assert f": {s_rows} rows, " in lines[5] and f": {t_rows} rows, " in lines[-1]
 
     @pytest.mark.parametrize(
         "family,expected",

@@ -1,6 +1,7 @@
 """Circle-method approximant tests: construction, evaluation, Parseval."""
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -252,3 +253,12 @@ class TestCensus:
         assert rep.summary["max_ratio"] <= 8.0
         for row in rep.records:
             assert 0.0 < row["density"] < 1.0
+
+    def test_progress_is_logged_at_debug(self, caplog):
+        args = ([(3, 11), (3, 13)], [-1.0, -1.5])
+        quiet = circle.l2_error_census(*args, n_max_factor=20.0).to_jsonl()
+        with caplog.at_level(logging.DEBUG, logger="shiftconv.circle"):
+            loud = circle.l2_error_census(*args, n_max_factor=20.0).to_jsonl()
+        assert loud == quiet
+        # one line per anchor, with the rows written so far
+        assert [r.getMessage().split(" members, ")[1].split(",")[0] for r in caplog.records] == ["2 rows", "4 rows"]

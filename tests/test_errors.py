@@ -1,9 +1,11 @@
 """Bad input fails at the boundary with a ShiftconvError subclass."""
 
+import numpy as np
 import pytest
 
 from shiftconv import arith, charsums, circle, coeffs
 from shiftconv.errors import InvalidDivisor, OutOfRange, ShiftconvError
+from shiftconv.reports import ExperimentReport
 
 P = arith.PrimeModulus
 
@@ -33,6 +35,10 @@ def _approximant(delta):
             ),
             OutOfRange,
         ),
+        (
+            lambda: ExperimentReport.for_config(["a", "b"], {}).add(a=np.arange(2), b=np.arange(3)),
+            OutOfRange,
+        ),
     ],
     ids=[
         "weight12_N_below_1",
@@ -48,6 +54,7 @@ def _approximant(delta):
         "t_params_q2_is_q1t",
         "t_params_q2_is_q1",
         "t1_closed_form_which_unknown",
+        "report_block_lengths_differ",
     ],
 )
 def test_bad_input_raises_package_error(call, error):

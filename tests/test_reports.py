@@ -60,3 +60,92 @@ def test_hash_reads_numpy_scalars_as_python_values():
     assert canonical_hash({"h": np.int64(5)}) != canonical_hash({"h": "5"})
     assert canonical_hash({"x": np.float64(0.25)}) == canonical_hash({"x": 0.25})
     assert canonical_hash({"z": np.complex128(1 - 1j)}) == canonical_hash({"z": 1 - 1j})
+
+
+# One row per index; each column in the form a block takes it.  "mixed" and
+# "scalars" need object arrays: a numeric array would coerce 1 to 1.0 and
+# numpy scalars to Python values.  The ", " and "%" inside strings and a
+# column name guard the per-chunk split and the row template.
+_COLUMNS = {
+    "k": ([3, -7, 0, 2 ** 40], None),
+    "x": ([0.1, 1e-300, -2.5, 1e22], None),
+    "ok": ([True, False, True, True], None),
+    "mixed": ([1, 2.5, -3, 0.0], object),
+    "special": ([float("nan"), float("inf"), float("-inf"), -0.0], None),
+    "z": ([1 + 2j, -0.5j, complex(float("nan"), float("inf")), 0j], None),
+    "scalars": ([np.int64(5), np.float32(0.1), np.bool_(True), np.complex64(1j)], object),
+    "100%": (["a%s", "50% off", "%d, %%", 'q"u, ote'], None),
+}
+
+
+def _reference(rep, rows):
+    """json.dumps of each row with its config hash, then the summary line."""
+    lines = [dict(r, config_hash=rep.config_hash) for r in rows]
+    lines.append({"summary": rep.summary, "config_hash": rep.config_hash})
+    return "".join(json.dumps(d, sort_keys=True, default=reports._json_default) + "\n" for d in lines)
+
+
+@pytest.mark.parametrize("split", [0, 1, 3, 4])  # rows added one at a time, then one block
+def test_jsonl_is_byte_identical_for_rows_and_blocks(split):
+    rows = [{c: vals[i] for c, (vals, _) in _COLUMNS.items()} for i in range(4)]
+    rep = ExperimentReport.for_config(list(_COLUMNS), {"family": "demo"})
+    for r in rows[:split]:
+        rep.add(**r)
+    if split < 4:
+        rep.add(**{c: np.array(vals[split:], dtype=dt) for c, (vals, dt) in _COLUMNS.items()})
+    rep.finalize()
+    assert rep.summary["n_records"] == 4
+    assert rep.to_jsonl() == _reference(rep, rows)
+
+
+def test_jsonl_over_several_chunks():
+    k = 2 * reports._CHUNK_ROWS + 17
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)
+    cols = {"i": np.arange(k), "x": x, "ratio": x / 3.0, "q": 7}
+    rep = ExperimentReport.for_config(list(cols), {"family": "demo"})
+    rep.add(**cols)
+    rep.add(i=-1, x=0.5, ratio=1.5, q=7)
+    rep.finalize()
+    rows = [{"i": i, "x": v, "ratio": v / 3.0, "q": 7} for i, v in enumerate(x.tolist())]
+    rows.append({"i": -1, "x": 0.5, "ratio": 1.5, "q": 7})
+    assert rep.records == rows
+    assert rep.summary["max_ratio"] == max(r["ratio"] for r in rows)
+    assert rep.to_jsonl() == _reference(rep, rows)
+
+
+def test_empty_report_writes_only_the_summary():
+    rep = ExperimentReport.for_config(["a", "ratio"], {"family": "demo"})
+    rep.add(a=np.array([], dtype=np.int64), ratio=np.array([]))
+    rep.finalize()
+    assert rep.records == [] and rep.summary == {"n_records": 0}
+    assert rep.to_jsonl() == _reference(rep, [])
+    assert len(rep.to_jsonl().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"a": 1, "ratioo": 0.5},
+        {"a": 1},
+        {"a": 1, "ratio": 0.5, "extra": 2},
+        {"a": np.arange(3), "ratioo": np.ones(3)},
+    ],
+    ids=["misspelled", "missing", "extra", "misspelled_block"],
+)
+def test_add_rejects_fields_other_than_the_columns(fields):
+    rep = ExperimentReport.for_config(["a", "ratio"], {"family": "demo"})
+    with pytest.raises(TypeError):
+        rep.add(**fields)
+    assert len(rep) == 0
+
+
+def test_records_view_is_python_values_in_column_order():
+    rep = ExperimentReport.for_config(["n", "v"], {"family": "demo"})
+    rep.add(n=np.array([2, 1]), v=np.array([0.5, 0.25]))
+    rep.add(n=np.int64(3), v=0.125)
+    assert [list(r) for r in rep.records] == [["n", "v"]] * 3
+    assert [type(r["n"]) for r in rep.records] == [int, int, np.int64]
+    assert rep.records is rep.records
+    rep.records[0] = {}
+    assert json.loads(rep.to_jsonl().splitlines()[0])["n"] == 2
