@@ -18,7 +18,9 @@ json.dumps(row, sort_keys=True, default=_json_default), one line each, then
 the summary line.  It encodes a few thousand rows at a time, column by
 column, into a row template made from the sorted keys: a column of plain
 ints, floats and bools takes one encoder call per chunk, any other column
-one call per cell.
+one call per cell.  Each chunk is appended to one byte buffer and freed
+before the next, so no chunk outlives its turn and the peak memory of a
+call does not depend on where the allocator put earlier chunks.
 """
 
 from __future__ import annotations
@@ -108,14 +110,14 @@ class ExperimentReport:
         keys = sorted({*self.columns, "config_hash"})
         template = "{" + ", ".join(_encode_json(k).replace("%", "%%") + ": %s" for k in keys) + "}\n"
         hash_cell = _encode_json(self.config_hash)
-        parts = []
+        out = bytearray()  # JSON text is ASCII; one buffer, see the module docstring
         for k, cols in self._segments:
             for a in range(0, k, _CHUNK_ROWS):
                 b = min(k, a + _CHUNK_ROWS)
                 cells = [[hash_cell] * (b - a) if c == "config_hash" else _cells(cols[c][a:b]) for c in keys]
-                parts.append("".join(map(template.__mod__, zip(*cells))))
-        parts.append(_encode_json({"summary": self.summary, "config_hash": self.config_hash}) + "\n")
-        return "".join(parts)
+                out += "".join(map(template.__mod__, zip(*cells))).encode()
+        out += (_encode_json({"summary": self.summary, "config_hash": self.config_hash}) + "\n").encode()
+        return out.decode()
 
     def write_jsonl(self, path) -> None:
         atomic_write_text(path, self.to_jsonl())
