@@ -30,7 +30,7 @@ import json
 import numpy as np
 
 from .errors import OutOfRange
-from .util import _json_default, atomic_write_text, canonical_hash
+from .util import _json_default, canonical_hash
 
 # rows encoded at a time; bounds the cells held besides the output
 _CHUNK_ROWS = 4096
@@ -118,9 +118,6 @@ class ExperimentReport:
                 out += "".join(map(template.__mod__, zip(*cells))).encode()
         out += (_encode_json({"summary": self.summary, "config_hash": self.config_hash}) + "\n").encode()
         return out.decode()
-
-    def write_jsonl(self, path) -> None:
-        atomic_write_text(path, self.to_jsonl())
 
 
 def _values(seq) -> list:

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,11 +145,21 @@ class TestFourierCoeff:
 
     def test_conjugate_symmetry_and_real(self, small_set):
         A = circle.Approximant(moduli=small_set, delta=1.0 / small_set.max_modulus)
-        for n in (1, 5, 33, 100):
+        # multiples of each member prime and of the members: at -n the
+        # sieve's offset must land on the same multiples as at n
+        multiples = [p * k for p in small_set.P1 + small_set.P2 for k in (1, 2, 7)]
+        members = [q for *_, q in small_set.members] + [3 * 5 * 11 * 13 * 17 * 19]
+        for n in (1, 5, 33, 100, *multiples, *members):
             an = circle.fourier_coeff(A, n)
             am = circle.fourier_coeff(A, -n)
             assert an.imag == 0.0
             assert an == np.conj(am)
+
+    def test_numpy_integers_accepted(self, small_set):
+        A = circle.Approximant(moduli=small_set, delta=1.0 / small_set.max_modulus)
+        for n in (0, 15, -33):
+            assert circle.fourier_coeff(A, np.int64(n)) == circle.fourier_coeff(A, n)
+        assert circle.l2_error(A, np.int64(20000)) == circle.l2_error(A, 20000)
 
     def test_quadrature_oracle(self, small_set):
         # a_n must equal the direct integral of I~(x) e(-n x)
@@ -204,7 +215,44 @@ class TestL2Error:
     def test_rows_match_ramanujan_sums(self, small_set):
         ns = np.arange(-200, 2001)
         want = [sum(ramanujan_sum(q, int(n)) for _, _, q in small_set.members) for n in ns]
-        assert np.array_equal(circle._ramanujan_rows(small_set, ns), want)
+        assert np.array_equal(circle._ramanujan_rows(small_set, -200, len(ns)), want)
+
+    # lo = 1, 7 and 10^6 + 3 are multiples of no member prime, so the first
+    # multiple of each prime lies inside the window or past it
+    @pytest.mark.parametrize("lo", [0, 1, 7, 10**6 + 3])
+    @pytest.mark.parametrize("count", [0, 1, 500])
+    def test_rows_on_windows(self, small_set, lo, count):
+        want = [sum(ramanujan_sum(q, n) for _, _, q in small_set.members) for n in range(lo, lo + count)]
+        got = circle._ramanujan_rows(small_set, lo, count)
+        assert got.shape == (count,)
+        assert np.array_equal(got, want)
+
+    def test_partial_sum_across_chunks(self, small_set):
+        # three full chunks and 5 more n, against one sum over every member
+        # with c_q(n) looked up by n mod q; at delta = Q^-2 every a_n up to
+        # n_max is far above the rounding of the sum, so a lost or repeated
+        # n at a chunk edge shows
+        A = circle.Approximant(moduli=small_set, delta=float(small_set.max_modulus) ** -2)
+        n_max = 3 * circle._L2_CHUNK + 5
+        ns = np.arange(1, n_max + 1)
+        total = np.zeros(n_max)
+        for *_, q in small_set.members:
+            total += np.array([ramanujan_sum(q, r) for r in range(q)], dtype=float)[ns % q]
+        an = total / small_set.L * np.sinc(2.0 * ns * A.delta)
+        want = 2.0 * float(np.sum(an * an))
+        assert circle.l2_error(A, n_max).partial == pytest.approx(want, rel=1e-12)
+
+    def test_memory_is_chunk_sized(self):
+        # the benchmark's set: 224 members, n_max = 1.2e6 in 2^16-n chunks
+        ms = circle.build_moduli_set(30, 200, 1)
+        A = circle.Approximant(moduli=ms, delta=1.0 / ms.max_modulus)
+        tracemalloc.start()
+        try:
+            circle.l2_error(A, 1_200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
     def test_matches_grid_quadrature(self, small_set):
         Q = small_set.max_modulus

@@ -23,6 +23,8 @@ def _approximant(delta):
         (lambda: arith.primes_in_dyadic(1, 1), OutOfRange),
         (lambda: _approximant(1.0), OutOfRange),
         (lambda: circle.l2_error(_approximant(1.0 / 132), 10), OutOfRange),
+        (lambda: circle.l2_error(_approximant(1.0 / 132), 2640000.0), OutOfRange),
+        (lambda: circle.fourier_coeff(_approximant(1.0 / 132), 2.5), OutOfRange),
         (lambda: coeffs.build_gl3_sym2_table(coeffs.build_gl2_table(12, 10), -3), OutOfRange),
         (lambda: coeffs.build_gl3_sym2_table(coeffs.build_gl2_table(12, 10), 0), OutOfRange),
         (lambda: arith.kloosterman_table(0), OutOfRange),
@@ -47,6 +49,8 @@ def _approximant(delta):
         "primes_in_dyadic_Q_below_2",
         "approximant_delta_window",
         "l2_error_n_max_below_1_over_delta",
+        "l2_error_n_max_not_integer",
+        "fourier_coeff_n_not_integer",
         "gl3_table_N_negative",
         "gl3_table_N_zero",
         "kloosterman_table_q_below_1",

@@ -7,6 +7,7 @@ import inspect
 import pkgutil
 import re
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -40,7 +41,9 @@ def test_dependencies_imported():
 
 def test_public_names_have_a_caller_outside_tests():
     # names and attribute names used by the package and the benchmark;
-    # a definition alone does not count, nor does any test file
+    # a definition alone does not count, nor does any test file.  Checked:
+    # module-level functions and classes, and the public methods,
+    # properties, classmethods and staticmethods of those classes
     files = [
         f
         for d in (ROOT / "src" / "shiftconv", ROOT / "perfbench")
@@ -59,10 +62,19 @@ def test_public_names_have_a_caller_outside_tests():
         mod = importlib.import_module(f"shiftconv.{info.name}")
         for name, obj in vars(mod).items():
             if (
-                not name.startswith("_")
-                and (inspect.isfunction(obj) or inspect.isclass(obj))
-                and obj.__module__ == mod.__name__
-                and name not in used
+                name.startswith("_")
+                or not (inspect.isfunction(obj) or inspect.isclass(obj))
+                or obj.__module__ != mod.__name__
             ):
+                continue
+            if name not in used:
                 unused.append(f"{info.name}.{name}")
+            if inspect.isclass(obj):
+                unused += [
+                    f"{info.name}.{name}.{attr}"
+                    for attr, member in vars(obj).items()
+                    if not attr.startswith("_")
+                    and isinstance(member, (FunctionType, property, classmethod, staticmethod))
+                    and attr not in used
+                ]
     assert not unused, f"public names with no caller outside tests/: {unused}"
