@@ -1,11 +1,16 @@
 """Report emission tests."""
 
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftconv import reports
+from shiftconv.charsums import SCensusFamily, TCensusFamily, bound_census
 from shiftconv.reports import ExperimentReport
 from shiftconv.util import canonical_hash
 
@@ -49,6 +54,10 @@ def test_complex_is_written_as_re_im():
 def test_unknown_values_raise():
     rep = ExperimentReport.for_config(["s"], {"family": "demo"})
     rep.add(s={1, 2})
+    with pytest.raises(TypeError):
+        rep.to_jsonl()
+    rep = ExperimentReport.for_config(["s"], {"family": "demo"})
+    rep.add(s=np.array([0.5, 0.5], dtype=np.longdouble))
     with pytest.raises(TypeError):
         rep.to_jsonl()
     with pytest.raises(TypeError):
@@ -144,8 +153,127 @@ def test_records_view_is_python_values_in_column_order():
     rep = ExperimentReport.for_config(["n", "v"], {"family": "demo"})
     rep.add(n=np.array([2, 1]), v=np.array([0.5, 0.25]))
     rep.add(n=np.int64(3), v=0.125)
-    assert [list(r) for r in rep.records] == [["n", "v"]] * 3
-    assert [type(r["n"]) for r in rep.records] == [int, int, np.int64]
+    rep.add(n=np.int64(4), v=np.array([1.0, 2.0]))
+    assert [list(r) for r in rep.records] == [["n", "v"]] * 5
+    assert [type(r["n"]) for r in rep.records] == [int, int, np.int64, np.int64, np.int64]
+    assert [r["n"] for r in rep.records] == [2, 1, 3, 4, 4]
     assert rep.records is rep.records
     rep.records[0] = {}
     assert json.loads(rep.to_jsonl().splitlines()[0])["n"] == 2
+
+
+# Property: any mix of single rows and blocks is written as json.dumps would.
+# Keys with ", " and "%" guard the fixed text between cells.
+_NAMES = ["a", "b, c", "d%"]
+_SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+_ROW_VALUES = st.one_of(
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.one_of(_SPECIAL, st.floats()),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.complex_numbers(),
+    st.integers(-(2 ** 63), 2 ** 63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+)
+_ARRAY_VALUES = {
+    np.int64: st.integers(-(2 ** 63), 2 ** 63 - 1),
+    np.uint64: st.integers(0, 2 ** 64 - 1),
+    np.int8: st.integers(-128, 127),
+    np.float64: st.one_of(_SPECIAL, st.floats()),
+    np.float32: st.one_of(_SPECIAL, st.floats(width=32)),
+    np.bool_: st.booleans(),
+}
+# a few rows, or more than one chunk
+_BLOCK_ROWS = st.one_of(st.integers(0, 40), st.integers(reports._CHUNK_ROWS - 1, reports._CHUNK_ROWS + 600))
+
+
+@st.composite
+def _adds(draw):
+    """Fields of each add call, and the rows they stand for."""
+    adds, rows = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            fields = {c: draw(_ROW_VALUES) for c in _NAMES}
+            adds.append(fields)
+            rows.append(fields)
+            continue
+        k = draw(_BLOCK_ROWS)
+        arrays = draw(st.lists(st.sampled_from(_NAMES), min_size=1, unique=True))
+        fields = {}
+        for c in _NAMES:
+            if c not in arrays:
+                fields[c] = draw(_ROW_VALUES)
+                continue
+            dtype = draw(st.sampled_from(list(_ARRAY_VALUES)))
+            pool = np.array(draw(st.lists(_ARRAY_VALUES[dtype], min_size=1, max_size=6)), dtype=dtype)
+            # few distinct values, so blocks repeat them
+            fields[c] = pool[np.random.default_rng(draw(st.integers(0, 2 ** 32))).integers(0, len(pool), k)]
+        cols = {c: fields[c].tolist() if c in arrays else [fields[c]] * k for c in _NAMES}
+        adds.append(fields)
+        rows += [{c: cols[c][i] for c in _NAMES} for i in range(k)]
+    return adds, rows
+
+
+@given(_adds())
+@settings(max_examples=30, deadline=None)
+def test_jsonl_is_json_dumps_of_any_rows_and_blocks(case):
+    adds, rows = case
+    rep = ExperimentReport.for_config(_NAMES, {"family": "demo"})
+    for fields in adds:
+        rep.add(**fields)
+    rep.finalize()
+    assert len(rep) == len(rows)
+    assert rep.to_jsonl() == _reference(rep, rows)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        SCensusFamily(primes=(11, 13, 17)),
+        TCensusFamily(q1_primes=(5, 7, 11), q2_primes=(13,), m_max=5),
+    ],
+    ids=["S", "T"],
+)
+def test_census_jsonl_is_json_dumps_of_its_records(family):
+    rep = bound_census(family)
+    rows = rep.records
+    ratios = sorted(r["ratio"] for r in rows)
+    assert len(rep) == rep.summary["n_records"] == len(rows) > 0
+    assert rep.summary["max_ratio"] == ratios[-1]
+    assert rep.summary["median_ratio"] == ratios[len(ratios) // 2]
+    assert rep.to_jsonl() == _reference(rep, rows)
+
+
+def _census_like_report(blocks: int) -> ExperimentReport:
+    """S-census-shaped blocks of 512 rows: few distinct ints, a constant
+    float column, distinct floats and constant fields."""
+    rng = np.random.default_rng(3)
+    n, h, m2 = (g.ravel() for g in np.meshgrid(*[np.arange(1, 9)] * 3, indexing="ij"))
+    rep = ExperimentReport.for_config(
+        ["q1", "q2", "m1", "m2", "n", "h", "abs_sum", "normalizer", "ratio"], {"family": "demo"}
+    )
+    for b in range(blocks):
+        abs_sum = rng.random(512) * 300.0
+        norm = np.full(512, 143.0 / math.sqrt(1 + b % 4))
+        rep.add(
+            q1=11, q2=13 + b, m1=1 + b % 4, m2=m2, n=n, h=h,
+            abs_sum=abs_sum, normalizer=norm, ratio=abs_sum / norm,
+        )
+    return rep.finalize()
+
+
+def test_jsonl_peak_memory_stays_near_its_output():
+    # the output is held twice at the end, as bytes and as str; keeping
+    # every cell's text for the whole report measured 2.8x
+    rep = _census_like_report(48)
+    assert len(rep) == 24576
+    tracemalloc.start()
+    try:
+        text = rep.to_jsonl()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * len(text)
