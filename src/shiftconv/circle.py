@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -33,6 +32,7 @@ import numpy as np
 from .arith import primes_in_dyadic, unit_residues
 from .errors import OutOfRange, OverlappingRanges
 from .reports import ExperimentReport
+from .util import as_index
 
 log = logging.getLogger(__name__)
 
@@ -125,17 +125,9 @@ def _ramanujan_rows(ms: ModuliSet, lo: int, count: int) -> np.ndarray:
     return rows[0] * rows[1]
 
 
-def _integer(value, name: str) -> int:
-    """value as a Python int (numpy integers included); else OutOfRange."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
-
-
 def fourier_coeff(A: Approximant, n: int) -> complex:
     """a_n = (1/L) sum_q c_q(n) sinc(2 n delta); a_0 = 1 exactly."""
-    n = _integer(n, "n")
+    n = as_index(n, "n")
     if n == 0:
         return 1.0 + 0.0j
     row = _ramanujan_rows(A.moduli, n, 1)[0]
@@ -184,7 +176,7 @@ def l2_error(A: Approximant, n_max: int) -> L2Error:
     D <= N and S(N, D) = zeta(2) / D^2 for D > N (_multiples_tail), summed
     one row of d' at a time with lcm in floats, so no int64 can overflow.
     """
-    n_max = _integer(n_max, "n_max")
+    n_max = as_index(n_max, "n_max")
     if n_max < 1.0 / A.delta:
         raise OutOfRange("need n_max >= 1/delta")
     L, delta = A.moduli.L, A.delta

@@ -6,10 +6,18 @@ eta-product expansion
 
     q * prod_{n>=1} (1 - q^n)^24 = q * (sum_k (-1)^k (2k+1) q^{k(k+1)/2})^8,
 
-using Jacobi's cube identity for prod(1-q^n)^3.  The degree-3 table is the
-symmetric-square lift: at a prime p with Satake parameters {a, 1/a} (so
-lambda2(p) = a + 1/a), the lift has parameters {a^2, 1, a^-2}.  Coefficients
-at prime powers are Schur polynomials in these parameters,
+using Jacobi's cube identity for prod(1-q^n)^3.  Three squarings of that
+series by Kronecker substitution give a(n) exactly.  Each squaring packs the
+series into one big integer, w bits per coefficient.  By Cauchy-Schwarz every
+coefficient the square keeps is at most B, the sum of the squared input
+coefficients, in absolute value, so w with B < 2^(w-1) holds them all; no
+bound on a(n) is assumed.  weight12_integer_coefficients takes the least such
+whole-byte w before each squaring.
+
+The degree-3 table is the symmetric-square lift: at a prime p with Satake
+parameters {a, 1/a} (so lambda2(p) = a + 1/a), the lift has parameters
+{a^2, 1, a^-2}.  Coefficients at prime powers are Schur polynomials in these
+parameters,
 
     lam(p^r, p^s) = h_{r+s} h_s - h_{r+s+1} h_{s-1},
 
@@ -33,71 +41,76 @@ import numpy as np
 
 from .arith import factorize
 from .errors import InsufficientBase, OutOfRange, UnsupportedWeight
+from .util import as_index
 
-# Slot width for the Kronecker-substitution polynomial products.  Each slot
-# holds c + 2^127 for a coefficient |c| < 2^127, so no slot borrows from the
-# next.  |a(n)| <= d(n) n^{11/2}, whose maximum over n <= N is about 2^117.5
-# at N = 10^6, 2^126.5 at 3 * 10^6 and 2^128.9 at 4 * 10^6; _MAX_N keeps
-# every table below the limit.
-_SLOT_BITS = 128
-_SLOT_BYTES = _SLOT_BITS // 8
-_HALF = 1 << (_SLOT_BITS - 1)
+# Caps run time and memory.  No slot can overflow at any N: each width is
+# sized from the series it squares.
 _MAX_N = 3_000_000
 
 
 def _eta_cube_terms(length):
-    """Sparse coefficients of prod(1-q^n)^3 up to degree < length."""
-    terms = []
+    """Coefficients of prod(1-q^n)^3 below degree `length` (Jacobi's identity)."""
+    series = [0] * length
     k = 0
     while k * (k + 1) // 2 < length:
-        terms.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
+        series[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
         k += 1
-    return terms
+    return series
 
 
-def _offset(length):
-    """2^127 in each of `length` slots."""
-    return int.from_bytes(_HALF.to_bytes(_SLOT_BYTES, "little") * length, "little")
+def _slot_bits(coeffs):
+    """Smallest whole-byte width w with sum(c^2) < 2^(w-1)."""
+    return 8 * (sum(c * c for c in coeffs).bit_length() // 8 + 1)
 
 
-def _encode(terms, length):
-    """The integer whose slot idx holds c for each (idx, c), |c| < 2^127."""
-    buf = bytearray(_HALF.to_bytes(_SLOT_BYTES, "little") * length)
-    for idx, c in terms:
-        buf[idx * _SLOT_BYTES : (idx + 1) * _SLOT_BYTES] = (c + _HALF).to_bytes(_SLOT_BYTES, "little")
-    return int.from_bytes(buf, "little") - _offset(length)
+def _offset(length, bits):
+    """2^(bits-1) in each of `length` slots of `bits` bits."""
+    return int.from_bytes((1 << (bits - 1)).to_bytes(bits // 8, "little") * length, "little")
 
 
-def _decode(value, length):
-    """Signed slot coefficients (|c| < 2^127) of value mod 2^(128 length)."""
-    value = (value + _offset(length)) & ((1 << (_SLOT_BITS * length)) - 1)
-    raw = value.to_bytes(length * _SLOT_BYTES, "little")
-    return [
-        int.from_bytes(raw[i : i + _SLOT_BYTES], "little") - _HALF
-        for i in range(0, len(raw), _SLOT_BYTES)
-    ]
+def _encode(coeffs, bits):
+    """sum_i coeffs[i] 2^(bits i), each |coeffs[i]| < 2^(bits-1)."""
+    size, half = bits // 8, 1 << (bits - 1)
+    raw = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
+    return int.from_bytes(raw, "little") - _offset(len(coeffs), bits)
+
+
+def _decode(value, length, bits):
+    """Signed slot coefficients (|c| < 2^(bits-1)) of value mod 2^(bits length)."""
+    size, half = bits // 8, 1 << (bits - 1)
+    value = (value + _offset(length, bits)) & ((1 << (bits * length)) - 1)
+    raw = value.to_bytes(length * size, "little")
+    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
 
 
 def weight12_integer_coefficients(N: int) -> list[int]:
     """a(1..N) of the weight-12 form, exact integers.
 
-    Three squarings of the encoded eta-cube series give (eta^3)^8.  Each
-    square is truncated to its low N slots with `& mask`, mask = 2^(128 N) - 1,
-    which gives the same residue as `% 2^(128 N)` without a long division
-    (CPython's `%` on big ints is quadratic).  For N <= 3 * 10^6 slot
-    arithmetic stays below 2^127, so the offset decode is unambiguous, and
-    larger N raise OutOfRange.
+    Three Kronecker squarings take the eta-cube series to eta^6, eta^12 and
+    (eta^3)^8 = eta^24, each kept to its low N coefficients.  Before each
+    squaring the series a_0..a_{N-1} is encoded in slots of w bits, w the
+    smallest whole number of bytes with B = sum a_i^2 < 2^(w-1).  That width
+    is exact: every kept coefficient of the square satisfies, by
+    Cauchy-Schwarz,
+
+        |sum_{i+j=n} a_i a_j| <= sum_{i<=n} a_i^2 <= B    (n < N),
+
+    so each slot holds c + 2^(w-1) in [0, 2^w) and the offset decode of the
+    product mod 2^(w N) (a mask, not CPython's quadratic `%`) returns the
+    coefficients, which are re-encoded at the next width.  N beyond _MAX_N
+    raises OutOfRange before any encoding.
     """
+    N = as_index(N, "N")
     if N < 1:
         raise OutOfRange("need N >= 1")
     if N > _MAX_N:
-        raise OutOfRange(f"N={N} beyond {_MAX_N}: coefficients would overflow the {_SLOT_BITS}-bit slots")
-    mask = (1 << (_SLOT_BITS * N)) - 1
-    acc = _encode(_eta_cube_terms(N), N)
+        raise OutOfRange(f"N={N} beyond {_MAX_N}: the squarings would take too long")
+    series = _eta_cube_terms(N)
     for _ in range(3):
-        acc = (acc * acc) & mask
-    coeffs = _decode(acc, N)
-    return [0] + coeffs  # a(n) = coeffs[n-1]; index 0 is a dummy
+        bits = _slot_bits(series)
+        acc = _encode(series, bits)
+        series = _decode(acc * acc, N, bits)
+    return [0] + series  # a(n) = series[n-1]; index 0 is a dummy
 
 
 @dataclass(frozen=True)
@@ -109,6 +122,7 @@ class GL2CoefficientTable:
     integer_values: tuple       # exact a(n), same indexing
 
     def lam(self, n: int) -> float:
+        n = as_index(n, "n")
         if not 1 <= n <= self.N:
             raise OutOfRange(f"n={n} outside [1, {self.N}]")
         return float(self.values[n])
@@ -118,6 +132,7 @@ def build_gl2_table(k: int, N: int) -> GL2CoefficientTable:
     """Coefficient table of the weight-12 form; other weights are not wired."""
     if k != 12:
         raise UnsupportedWeight(f"weight {k} not supported (only 12)")
+    N = as_index(N, "N")
     ints = weight12_integer_coefficients(N)
     ns = np.arange(N + 1, dtype=float)
     ns[0] = 1.0
@@ -141,6 +156,7 @@ class GL3CoefficientTable:
     first_row: np.ndarray = field(repr=False)       # first_row[n] = lam(1, n)
 
     def lam(self, m1: int, m2: int) -> float:
+        m1, m2 = as_index(m1, "m1"), as_index(m2, "m2")
         if m1 < 1 or m2 < 1 or m1 * m2 > self.N:
             raise OutOfRange(f"(m1, m2) = ({m1}, {m2}) outside m1*m2 <= {self.N}")
         val = 1.0
@@ -177,6 +193,7 @@ def sym2_local_expansion(lam_p: float, kmax: int) -> np.ndarray:
 
 def build_gl3_sym2_table(base: GL2CoefficientTable, N: int) -> GL3CoefficientTable:
     """Symmetric-square lift table on m1 * m2 <= N."""
+    N = as_index(N, "N")
     if N < 1:
         raise OutOfRange("need N >= 1")
     if base.N < N:
@@ -215,7 +232,7 @@ def build_gl3_sym2_table(base: GL2CoefficientTable, N: int) -> GL3CoefficientTab
 
 def rankin_selberg_average(table, x) -> float:
     """(1/x) sum_{n <= x} |lam(1,n)|^2 (degree-3) or |lam(n)|^2 (degree-2)."""
-    x = int(x)
+    x = as_index(x, "x")
     if x < 1:
         raise OutOfRange("need x >= 1")
     if isinstance(table, GL3CoefficientTable):

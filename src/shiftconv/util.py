@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 
 import numpy as np
+
+from .errors import OutOfRange
 
 
 def _json_default(v):
@@ -24,3 +27,10 @@ def canonical_hash(mapping: dict) -> str:
     blob = json.dumps(mapping, sort_keys=True, separators=(",", ":"), default=_json_default)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
+
+def as_index(value, name: str) -> int:
+    """value as a Python int (numpy integers included); else OutOfRange."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise OutOfRange(f"{name} must be an integer, got {value!r}") from None

@@ -1,4 +1,4 @@
-"""Brute-force oracles shared by the test modules.
+"""Brute-force oracles and reference computations shared by the test modules.
 
 All are independent of shiftconv except direct_t, which checks T's CRT
 reindexing and takes its S vectors from the package's S kernel.
@@ -54,3 +54,28 @@ def direct_t(n, m, h, q1, q1t, q2):
     alpha = np.arange(bigq)
     phases = np.exp(2j * np.pi * (m % bigq * alpha % bigq) / bigq)
     return complex(np.sum(sa[alpha % qa] * np.conj(sb[alpha % qb]) * phases))
+
+
+def kronecker_delta_integers(N):
+    """a(0..N) of the weight-12 form (a(0) = 0) in fixed 128-bit slots.
+
+    The eta-cube series sum_k (-1)^k (2k+1) q^{k(k+1)/2} is packed into one
+    integer, one 128-bit slot per coefficient holding c + 2^127, squared
+    three times with each square cut to its low N slots, and unpacked.  The
+    slots hold every coefficient for N <= 3 * 10^6, where the largest
+    d(n) n^{11/2} >= |a(n)| is about 2^126.5.
+    """
+    size, half = 16, 1 << 127
+    offset = int.from_bytes(half.to_bytes(size, "little") * N, "little")
+    mask = (1 << (128 * N)) - 1
+    buf = bytearray(half.to_bytes(size, "little") * N)
+    k = 0
+    while k * (k + 1) // 2 < N:
+        idx = k * (k + 1) // 2
+        buf[idx * size : (idx + 1) * size] = ((-1) ** k * (2 * k + 1) + half).to_bytes(size, "little")
+        k += 1
+    acc = int.from_bytes(buf, "little") - offset
+    for _ in range(3):
+        acc = (acc * acc) & mask
+    raw = ((acc + offset) & mask).to_bytes(size * N, "little")
+    return [0] + [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]

@@ -1,11 +1,13 @@
 """Coefficient-table tests: eta-product integers, Hecke structure, lift oracle."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import kronecker_delta_integers
 
 from shiftconv import coeffs
 from shiftconv.errors import InsufficientBase, OutOfRange, UnsupportedWeight
@@ -39,6 +41,11 @@ def oracle_delta_integers(N):
     return [0] + power.tolist()
 
 
+@functools.lru_cache(maxsize=None)
+def fixed_width_reference(N):
+    return kronecker_delta_integers(N)
+
+
 def hecke_inequality_check(table, q1, m2):
     """|lam(m2,q1)|^2 <= 2 |lam(m2,1)|^2 |lam(q1,1)|^2 + 2 |lam(m2/q1,1)|^2.
 
@@ -49,6 +56,15 @@ def hecke_inequality_check(table, q1, m2):
     if m2 % q1 == 0:
         rhs += 2.0 * table.lam(m2 // q1, 1) ** 2
     return lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
+
+
+# slot contents for the codec round trip, given the largest |c| a width allows
+CODEC_CASES = {
+    "extremes": lambda top: [top, -top, top, -top],
+    "extremes_between_zeros": lambda top: [-top, 0, 0, top, 0],
+    "all_zero": lambda top: [0] * 6,
+    "seeded_random": lambda top: [random.Random(7).randrange(-top, top + 1) for _ in range(50)],
+}
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +87,48 @@ class TestGL2:
         want = oracle_delta_integers(1000)
         assert all(type(a) is int for a in want)
         assert got == want
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 1000, 6000, 20_000])
+    def test_matches_fixed_width_reference(self, N):
+        got = coeffs.weight12_integer_coefficients(N)
+        assert got == fixed_width_reference(N)
+
+    def test_slot_widths_bound_every_kept_coefficient(self, monkeypatch):
+        # per squaring: max |c_n| <= B = sum a_i^2 < 2^(w-1), w the least whole-byte width
+        seen = []
+        encode, decode = coeffs._encode, coeffs._decode
+
+        def spy_encode(series, bits):
+            seen.append([sum(c * c for c in series), bits])
+            return encode(series, bits)
+
+        def spy_decode(value, length, bits):
+            out = decode(value, length, bits)
+            seen[-1].append(max(abs(c) for c in out))
+            return out
+
+        monkeypatch.setattr(coeffs, "_encode", spy_encode)
+        monkeypatch.setattr(coeffs, "_decode", spy_decode)
+        assert coeffs.weight12_integer_coefficients(6000) == fixed_width_reference(6000)
+        assert [bits for _, bits, _ in seen] == [24, 48, 80]
+        for b, bits, top in seen:
+            assert top <= b < 2 ** (bits - 1) <= 2 ** 8 * b
+
+    def test_too_narrow_last_slot_fails_the_reference(self, monkeypatch):
+        # mutation check: at N = 6000 the last width is 80 bits and max |a(n)|
+        # < 2^70, so 72-bit slots still decode; 64-bit slots overflow, and the
+        # reference comparison must catch it
+        widths = []
+        slot_bits = coeffs._slot_bits
+
+        def narrow_last(series):
+            widths.append(slot_bits(series))
+            return 64 if len(widths) == 3 else widths[-1]
+
+        monkeypatch.setattr(coeffs, "_slot_bits", narrow_last)
+        got = coeffs.weight12_integer_coefficients(6000)
+        assert widths == [24, 48, 80]
+        assert got != fixed_width_reference(6000)
 
     def test_lambda_one(self, gl2):
         assert gl2.lam(1) == 1.0
@@ -114,6 +172,16 @@ class TestGL2:
         with pytest.raises(OutOfRange):
             gl2.lam(gl2.N + 1)
 
+    def test_numpy_integers_accepted(self, gl2):
+        small = coeffs.build_gl2_table(12, np.int64(30))
+        assert type(small.N) is int
+        assert small.integer_values == gl2.integer_values[:31]
+        assert gl2.lam(np.int64(6)) == gl2.lam(6)
+        assert coeffs.rankin_selberg_average(gl2, np.int64(100)) == coeffs.rankin_selberg_average(gl2, 100)
+        gl3 = coeffs.build_gl3_sym2_table(gl2, np.int32(30))
+        assert type(gl3.N) is int
+        assert gl3.lam(np.int64(2), np.uint8(3)) == gl3.lam(2, 3)
+
     def test_slot_limit_raises_before_encoding(self, monkeypatch):
         def fail(*args):
             raise AssertionError("encoding started")
@@ -125,20 +193,15 @@ class TestGL2:
 
 
     @pytest.mark.parametrize(
-        "values",
-        [
-            [2**127 - 1, -(2**127 - 1), 2**127 - 1, -(2**127 - 1)],
-            [-(2**127 - 1), 0, 0, 2**127 - 1, 0],
-            [0] * 6,
-            [random.Random(7).randrange(-(2**127) + 1, 2**127) for _ in range(50)],
-        ],
-        ids=["extremes", "extremes_between_zeros", "all_zero", "seeded_random"],
+        "kind,bits",
+        # 128-bit ids are the bare case names, so existing test ids stay stable
+        [pytest.param(k, b, id=k if b == 128 else f"{k}_{b}") for b in (24, 48, 80, 128) for k in CODEC_CASES],
     )
-    def test_slot_codec_round_trips(self, values):
-        length = len(values)
-        value = coeffs._encode([(i, c) for i, c in enumerate(values) if c], length)
-        assert value == sum(c << (128 * i) for i, c in enumerate(values))
-        assert coeffs._decode(value, length) == values
+    def test_slot_codec_round_trips(self, kind, bits):
+        values = CODEC_CASES[kind](2 ** (bits - 1) - 1)
+        value = coeffs._encode(values, bits)
+        assert value == sum(c << (bits * i) for i, c in enumerate(values))
+        assert coeffs._decode(value, len(values), bits) == values
 
 
 class TestGL3:

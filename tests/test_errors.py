@@ -18,6 +18,12 @@ def _approximant(delta):
     "call,error",
     [
         (lambda: coeffs.weight12_integer_coefficients(0), OutOfRange),
+        (lambda: coeffs.weight12_integer_coefficients(2.5), OutOfRange),
+        (lambda: coeffs.build_gl2_table(12, 20.0), OutOfRange),
+        (lambda: coeffs.build_gl3_sym2_table(coeffs.build_gl2_table(12, 30), 20.5), OutOfRange),
+        (lambda: coeffs.build_gl2_table(12, 10).lam(2.5), OutOfRange),
+        (lambda: coeffs.build_gl3_sym2_table(coeffs.build_gl2_table(12, 10), 10).lam(1, 2.5), OutOfRange),
+        (lambda: coeffs.rankin_selberg_average(coeffs.build_gl2_table(12, 20), 10.9), OutOfRange),
         (lambda: arith.factorize(0), OutOfRange),
         (lambda: arith.euler_phi(0), OutOfRange),
         (lambda: arith.primes_in_dyadic(1, 1), OutOfRange),
@@ -44,6 +50,12 @@ def _approximant(delta):
     ],
     ids=[
         "weight12_N_below_1",
+        "weight12_N_not_integer",
+        "gl2_table_N_not_integer",
+        "gl3_table_N_not_integer",
+        "gl2_lam_n_not_integer",
+        "gl3_lam_m2_not_integer",
+        "rankin_selberg_x_not_integer",
         "factorize_n_below_1",
         "euler_phi_q_below_1",
         "primes_in_dyadic_Q_below_2",
