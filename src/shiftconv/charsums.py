@@ -36,7 +36,9 @@ Each sum has one evaluator per use:
                           per field;
     char_sum_T            built from the same per-prime factors of S: by
                           CRT the alpha-sum splits into one sum mod each
-                          prime, O(q1 + q1t + q2) per T once cached.
+                          prime, O(q1 + q1t + q2) per T once cached; the
+                          T census calls it once per (n, h, m) tuple and
+                          appends one block per prime triple, like S.
 """
 
 from __future__ import annotations
@@ -310,7 +312,7 @@ def bound_census(family) -> ExperimentReport:
 
 def _census_s(family: SCensusFamily) -> ExperimentReport:
     cols = ["q1", "q2", "m1", "m2", "n", "h", "abs_sum", "normalizer", "ratio"]
-    rep = ExperimentReport.for_config(cols, {"family": "S", **family.__dict__})
+    rep = ExperimentReport(cols, {"family": "S", **family.__dict__})
     t0 = time.perf_counter()
     m2s = list(range(1, family.m2_max + 1))
     for q1 in family.primes:
@@ -338,9 +340,7 @@ def _census_s(family: SCensusFamily) -> ExperimentReport:
 def _census_t(family: TCensusFamily) -> ExperimentReport:
     cols = ["q1", "q1t", "q2", "n", "m", "h", "abs_sum", "normalizer", "ratio"]
     normalizer = "t_diag" if family.diagonal else "t_offdiag"
-    rep = ExperimentReport.for_config(
-        cols, {"family": "T", "normalizer": normalizer, **family.__dict__}
-    )
+    rep = ExperimentReport(cols, {"family": "T", "normalizer": normalizer, **family.__dict__})
     t0 = time.perf_counter()
     vanish_checked = vanish_passed = 0
     for q1, q1t, q2 in itertools.product(family.q1_primes, family.q1_primes, family.q2_primes):
@@ -348,11 +348,10 @@ def _census_t(family: TCensusFamily) -> ExperimentReport:
             continue
         if not family.diagonal and q1 > q1t:
             continue  # T(q1t, q1) pairs with m -> -m; sweep unordered
+        moduli = {"q1": PrimeModulus(q1), "q1t": PrimeModulus(q1t), "q2": PrimeModulus(q2)}
+        keys, values = [], []  # (n, m, h) and (|T|, normalizer) of each row
         for n, h, m in itertools.product(family.n_values, family.h_values, range(1, family.m_max + 1)):
-            params = TCharParams(
-                n=n, m=(q1 * m if family.diagonal else m), h=h,
-                q1=PrimeModulus(q1), q1t=PrimeModulus(q1t), q2=PrimeModulus(q2),
-            )
+            params = TCharParams(n=n, m=(q1 * m if family.diagonal else m), h=h, **moduli)
             v = abs(char_sum_T(params))
             if not family.diagonal and math.gcd(m, q1 * q1t) != 1:
                 # vanishing law tuple: count it, expect ~0
@@ -364,10 +363,11 @@ def _census_t(family: TCensusFamily) -> ExperimentReport:
                 norm = q1 ** 2.5 * q2 ** 2.5 * math.sqrt(math.gcd(m, q1 * q2))
             else:
                 norm = q1 ** 1.5 * q1t ** 1.5 * q2 ** 2.5 * math.sqrt(math.gcd(params.m, q2))
-            rep.add(
-                q1=q1, q1t=q1t, q2=q2, n=n, m=params.m, h=h,
-                abs_sum=v, normalizer=norm, ratio=v / norm,
-            )
+            keys.append((n, params.m, h))
+            values.append((v, norm))
+        n, m, h = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+        abs_sum, norm = np.array(values, dtype=float).reshape(-1, 2).T
+        rep.add(q1=q1, q1t=q1t, q2=q2, n=n, m=m, h=h, abs_sum=abs_sum, normalizer=norm, ratio=abs_sum / norm)
         log.debug(
             "T census (q1, q1t, q2) = (%d, %d, %d): %d rows, %.3f s",
             q1, q1t, q2, len(rep), time.perf_counter() - t0,

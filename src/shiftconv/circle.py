@@ -204,30 +204,29 @@ def quadrature_l2_error(A: Approximant, step: float) -> float:
 
 
 def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 500.0) -> ExperimentReport:
-    """Sweep (Q1, Q2) anchors and delta = Q^e; one record per combination.
+    """Sweep (Q1, Q2) anchors and delta = Q^e; one record per combination,
+    appended as one block per anchor.
 
     Records L / Q^2 alongside the normalized error ratio: desk-scale prime
     counts make the density |Q| >> Q^(1-eps) unattainable, so it is reported
     rather than enforced.
     """
     cols = ["Q1", "Q2", "delta", "L", "density", "error", "bound", "ratio"]
-    rep = ExperimentReport.for_config(
-        cols,
-        {"anchors": list(anchors), "delta_exponents": list(delta_exponents), "h": h},
-    )
+    rep = ExperimentReport(cols, {"anchors": list(anchors), "delta_exponents": list(delta_exponents), "h": h})
     t0 = time.perf_counter()
     for Q1, Q2 in anchors:
         ms = build_moduli_set(Q1, Q2, h)
         Q = ms.max_modulus
+        rows = []  # (delta, error, bound) per exponent
         for e in delta_exponents:
             delta = float(Q) ** e
-            A = Approximant(moduli=ms, delta=delta)
-            err = l2_error(A, int(n_max_factor / delta)).value
-            bound = Q * Q * math.log(Q) / (delta * ms.L ** 2)
-            rep.add(
-                Q1=Q1, Q2=Q2, delta=delta, L=ms.L, density=ms.L / Q ** 2,
-                error=err, bound=bound, ratio=err / bound,
-            )
+            err = l2_error(Approximant(moduli=ms, delta=delta), int(n_max_factor / delta)).value
+            rows.append((delta, err, Q * Q * math.log(Q) / (delta * ms.L ** 2)))
+        delta, error, bound = np.array(rows, dtype=float).reshape(-1, 3).T
+        rep.add(
+            Q1=Q1, Q2=Q2, delta=delta, L=ms.L, density=ms.L / Q ** 2,
+            error=error, bound=bound, ratio=error / bound,
+        )
         log.debug(
             "L2 census (Q1, Q2) = (%d, %d): %d members, %d rows, %.3f s",
             Q1, Q2, len(ms.members), len(rep), time.perf_counter() - t0,

@@ -1,13 +1,16 @@
-"""Experiment reports: per-tuple rows stored by column, emitted as JSON lines.
+"""Experiment reports: per-tuple rows stored as blocks of columns, emitted as
+JSON lines.
 
 Every row carries the config hash so it can be traced back to the exact
 inputs that produced it.
 
-A report stores columns, not row dicts.  `add` appends one row of values,
-or one block of rows given as equal-length 1-D numpy arrays; any other field
-of a block is one value for every row and is stored once.  The S census
-appends one block per call.  Arrays are copied, and row values are kept as
-given.
+A report is a list of blocks.  `add` appends one block: each numpy array
+field is one column of its rows, and every other field is one value for
+every row of the block, stored once.  A block has at least one array; its
+arrays are 1-D, of one length, and hold ints, uints, floats or bools of at
+most 8 bytes each.  Arrays are copied, and the other fields are kept as
+given.  The S census appends one block per (q1, q2, m1), the T census one
+per prime triple and the L2 census one per anchor.
 
 `records` is a read view: the rows as dicts in column order, with array
 values as Python ints and floats and a block's constant fields repeated as
@@ -21,10 +24,9 @@ a time:
 
 - the keys in sorted order, the config hash and the block's constant fields
   are encoded once, into the fixed text between the varying cells;
-- a column of ints, floats or bools takes one encoder call per chunk.  A
-  numeric array column is first reduced to its distinct values, compared
-  by bit pattern so that 0.0 and -0.0 stay apart, and each cell is taken
-  from those; any other column takes one call per cell;
+- each column chunk is reduced to its distinct values, compared by bit
+  pattern so that 0.0 and -0.0 stay apart; those are encoded in one call,
+  and each cell is taken from them;
 - the rows are one list of fixed text and cells, interleaved by slice
   assignment, and joined once.
 
@@ -45,62 +47,52 @@ from .util import _json_default, canonical_hash
 
 # rows encoded at a time; bounds the cells held besides the output
 _CHUNK_ROWS = 4096
-# types that JSON writes without separators inside a value
-_PLAIN = frozenset((int, float, bool))
 
 
 class ExperimentReport:
-    """Ordered per-tuple rows, stored by column, plus summary statistics."""
+    """Ordered per-tuple rows, stored as blocks of columns, plus summary statistics."""
 
-    def __init__(self, columns, config_hash: str = ""):
+    def __init__(self, columns, config: dict):
         self.columns = list(columns)
-        self.config_hash = config_hash
+        self.config_hash = canonical_hash(config)
         self.summary: dict = {}
-        self._segments: list = []  # [rows, {column: list or 1-D array}, {column: constant}]
-        self._open = None  # the last segment while single rows extend it
+        self._blocks: list = []  # (rows, {column: 1-D array}, {column: constant})
         self._records = None
 
-    @classmethod
-    def for_config(cls, columns, config: dict) -> "ExperimentReport":
-        return cls(columns, config_hash=canonical_hash(config))
-
     def add(self, **fields) -> None:
-        """Append one row, or one block of rows.
+        """Append one block of rows (see the module docstring).
 
-        The fields must be exactly the columns.  A numpy array field is one
-        column of a block: every array in a call is 1-D and of one length,
-        and any other field is one value for every row of the block.  A call
-        without arrays appends one row.
+        The fields must be exactly the columns.
         """
         if fields.keys() != set(self.columns):
             missing = [c for c in self.columns if c not in fields]
             extra = [f for f in fields if f not in self.columns]
             raise TypeError(f"add() fields must be the columns: missing {missing}, unexpected {extra}")
-        shapes = {v.shape for v in fields.values() if isinstance(v, np.ndarray)}
-        if not shapes:
-            if self._open is None:
-                self._open = [0, {c: [] for c in self.columns}, {}]
-                self._segments.append(self._open)
-            self._open[0] += 1
-            for c, col in self._open[1].items():
-                col.append(fields[c])
-        elif len(shapes) == 1 and len(next(iter(shapes))) == 1:
-            ((k,),) = shapes
-            arrays = {c: v.copy() for c, v in fields.items() if isinstance(v, np.ndarray)}
-            consts = {c: v for c, v in fields.items() if c not in arrays}
-            self._segments.append([k, arrays, consts])
-            self._open = None
-        else:
-            raise OutOfRange(f"block columns must be 1-D arrays of one length, got shapes {sorted(shapes)}")
+        arrays = {c: v for c, v in fields.items() if isinstance(v, np.ndarray)}
+        shapes = {v.shape for v in arrays.values()}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 1:
+            raise OutOfRange(f"a block needs 1-D arrays of one length, got shapes {sorted(shapes)}")
+        # ints, bools and floats of at most 8 bytes: tolist() gives them as
+        # Python values, and each has an unsigned view of its size
+        bad = {
+            c: str(v.dtype)
+            for c, v in arrays.items()
+            if v.dtype.kind not in "iu" and v.dtype.char not in "?efd"
+        }
+        if bad:
+            raise OutOfRange(f"block arrays must hold ints, bools or floats of at most 8 bytes, got {bad}")
+        ((k,),) = shapes
+        consts = {c: v for c, v in fields.items() if c not in arrays}
+        self._blocks.append((k, {c: v.copy() for c, v in arrays.items()}, consts))
         self._records = None
 
     def __len__(self) -> int:
-        return sum(k for k, _, _ in self._segments)
+        return sum(k for k, _, _ in self._blocks)
 
     def _column(self, name: str) -> list:
         out = []
-        for k, cols, consts in self._segments:
-            out += [consts[name]] * k if name in consts else _values(cols[name])
+        for k, cols, consts in self._blocks:
+            out += [consts[name]] * k if name in consts else cols[name].tolist()
         return out
 
     @property
@@ -124,7 +116,7 @@ class ExperimentReport:
     def to_jsonl(self) -> str:
         keys = sorted({*self.columns, "config_hash"})
         out = bytearray()  # JSON text is ASCII; one buffer, see the module docstring
-        for k, cols, consts in self._segments:
+        for k, cols, consts in self._blocks:
             same = {**consts, "config_hash": self.config_hash}  # one value for every row
             # fixed[j] is the text before varying[j]; fixed[-1] ends the row
             fixed, varying, text = [], [], "{"
@@ -150,25 +142,11 @@ class ExperimentReport:
         return out.decode()
 
 
-def _values(seq) -> list:
-    return seq.tolist() if isinstance(seq, np.ndarray) else seq
-
-
-def _cells(seq) -> list:
+def _cells(col: np.ndarray) -> list:
     """The JSON text of each value of a non-empty column chunk."""
-    if isinstance(seq, np.ndarray) and seq.dtype.kind in "biuf" and seq.itemsize <= 8:
-        # longdouble (16 bytes) has no unsigned view; the encoder below rejects it
-        bits, inverse = np.unique(seq.view(f"u{seq.itemsize}"), return_inverse=True)
-        return np.array(_plain_cells(bits.view(seq.dtype).tolist()), dtype=object)[inverse].tolist()
-    vals = _values(seq)
-    if _PLAIN.issuperset(map(type, vals)):
-        return _plain_cells(vals)
-    return [_encode_json(v) for v in vals]
-
-
-def _plain_cells(vals: list) -> list:
-    """The JSON text of each of a list of ints, floats and bools, in one call."""
-    return _encode_json(vals)[1:-1].split(", ")
+    bits, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    text = _encode_json(bits.view(col.dtype).tolist())[1:-1].split(", ")
+    return np.array(text, dtype=object)[inverse].tolist()
 
 
 # One encoder for every row: json.dumps with keyword arguments builds a new

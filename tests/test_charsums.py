@@ -535,6 +535,16 @@ class TestBoundCensus:
             {"summary": {"n_records": 0}, "config_hash": rep.config_hash}
         ]
 
+    @pytest.mark.parametrize("empty", [{"h_values": ()}, {"m_max": 0}], ids=["no_h", "no_m"])
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_zero_length_t_blocks(self, empty, diagonal):
+        # each prime triple has no tuple, so appends an empty block
+        rep = cs.bound_census(cs.TCensusFamily(q1_primes=(3, 5), q2_primes=(7,), diagonal=diagonal, **empty))
+        assert rep.records == []
+        assert [json.loads(line) for line in rep.to_jsonl().splitlines()] == [
+            {"summary": {"n_records": 0, "vanish_checked": 0, "vanish_passed": 0}, "config_hash": rep.config_hash}
+        ]
+
     def test_s_report_memory(self):
         # the benchmark's S family: 86,016 rows, 15.6 MB of JSON lines
         fam = cs.SCensusFamily(primes=(11, 13, 17, 19, 23, 29, 31), m2_max=8, n_max=8, h_max=8)

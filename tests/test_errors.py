@@ -44,7 +44,7 @@ def _approximant(delta):
             OutOfRange,
         ),
         (
-            lambda: ExperimentReport.for_config(["a", "b"], {}).add(a=np.arange(2), b=np.arange(3)),
+            lambda: ExperimentReport(["a", "b"], {}).add(a=np.arange(2), b=np.arange(3)),
             OutOfRange,
         ),
     ],

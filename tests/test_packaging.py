@@ -13,14 +13,16 @@ import pytest
 
 import shiftconv
 
-tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
-
 ROOT = Path(__file__).resolve().parent.parent
-PYPROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())
+
+
+def _pyproject() -> dict:
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    return tomllib.loads((ROOT / "pyproject.toml").read_text())
 
 
 def test_console_scripts_resolve():
-    for target in PYPROJECT["project"].get("scripts", {}).values():
+    for target in _pyproject()["project"].get("scripts", {}).values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), target
 
@@ -34,7 +36,7 @@ def test_docstring_submodules_import():
 
 def test_dependencies_imported():
     source = "\n".join(p.read_text() for p in (ROOT / "src" / "shiftconv").rglob("*.py"))
-    for spec in PYPROJECT["project"]["dependencies"]:
+    for spec in _pyproject()["project"]["dependencies"]:
         name = re.match(r"[\w.-]+", spec).group(0)
         assert re.search(rf"^\s*(import|from)\s+{re.escape(name)}\b", source, re.M), spec
 

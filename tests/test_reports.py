@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 
 from shiftconv import reports
 from shiftconv.charsums import SCensusFamily, TCensusFamily, bound_census
+from shiftconv.circle import l2_error_census
+from shiftconv.errors import OutOfRange
 from shiftconv.reports import ExperimentReport
 from shiftconv.util import canonical_hash
 
 
 def test_jsonl_matches_json_dumps():
-    rep = ExperimentReport.for_config(["k", "x", "z", "label"], {"family": "demo"})
-    rep.add(k=3, x=0.1, z=1 + 2j, label="a")
-    rep.add(k=-7, x=1e-300, z=-0.5j, label="b")
+    rep = ExperimentReport(["k", "x", "z", "label"], {"family": "demo"})
+    rep.add(k=np.array([3, -7]), x=np.array([0.1, 1e-300]), z=1 + 2j, label="a")
+    rep.add(k=np.array([5]), x=0.25, z=-0.5j, label="b")
     rep.finalize(peak=2.5 - 1j, count=2)
     want = [
         json.dumps(dict(r, config_hash=rep.config_hash), sort_keys=True, default=reports._json_default)
@@ -35,8 +37,8 @@ def test_jsonl_matches_json_dumps():
 
 
 def test_numpy_scalars_are_written_as_numbers():
-    rep = ExperimentReport.for_config(["q", "v", "ok"], {"family": "demo"})
-    rep.add(q=np.int64(5), v=np.float32(0.1), ok=np.bool_(True))
+    rep = ExperimentReport(["i", "q", "v", "ok"], {"family": "demo"})
+    rep.add(i=np.arange(1), q=np.int64(5), v=np.float32(0.1), ok=np.bool_(True))
     row = json.loads(rep.to_jsonl().splitlines()[0])
     assert row["q"] == 5 and isinstance(row["q"], int)
     assert row["v"] == float(np.float32(0.1))
@@ -44,24 +46,40 @@ def test_numpy_scalars_are_written_as_numbers():
 
 
 def test_complex_is_written_as_re_im():
-    rep = ExperimentReport.for_config(["z", "w"], {"family": "demo"})
-    rep.add(z=1 + 2j, w=np.complex64(-0.5j))
+    rep = ExperimentReport(["i", "z", "w"], {"family": "demo"})
+    rep.add(i=np.arange(1), z=1 + 2j, w=np.complex64(-0.5j))
     row = json.loads(rep.to_jsonl().splitlines()[0])
     assert row["z"] == {"re": 1.0, "im": 2.0}
     assert row["w"] == {"re": 0.0, "im": -0.5}
 
 
 def test_unknown_values_raise():
-    rep = ExperimentReport.for_config(["s"], {"family": "demo"})
-    rep.add(s={1, 2})
-    with pytest.raises(TypeError):
-        rep.to_jsonl()
-    rep = ExperimentReport.for_config(["s"], {"family": "demo"})
-    rep.add(s=np.array([0.5, 0.5], dtype=np.longdouble))
+    rep = ExperimentReport(["i", "s"], {"family": "demo"})
+    rep.add(i=np.arange(2), s={1, 2})
     with pytest.raises(TypeError):
         rep.to_jsonl()
     with pytest.raises(TypeError):
         canonical_hash({"s": object()})
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"a": 1, "b": 0.5},
+        {"a": np.array([1 + 2j]), "b": 0.5},
+        {"a": np.array(["x"]), "b": 0.5},
+        {"a": np.array([1, "x"], dtype=object), "b": np.arange(2)},
+        {"a": np.array([0.5], dtype=np.longdouble), "b": 0.5},
+        {"a": np.array(0.5), "b": 0.5},
+        {"a": np.zeros((2, 2)), "b": 0.5},
+    ],
+    ids=["no_array", "complex", "str", "object", "longdouble", "zero_dim", "two_dim"],
+)
+def test_add_rejects_blocks_it_cannot_store(fields):
+    rep = ExperimentReport(["a", "b"], {"family": "demo"})
+    with pytest.raises(OutOfRange):
+        rep.add(**fields)
+    assert len(rep) == 0
 
 
 def test_hash_reads_numpy_scalars_as_python_values():
@@ -71,19 +89,21 @@ def test_hash_reads_numpy_scalars_as_python_values():
     assert canonical_hash({"z": np.complex128(1 - 1j)}) == canonical_hash({"z": 1 - 1j})
 
 
-# One row per index; each column in the form a block takes it.  "mixed" and
-# "scalars" need object arrays: a numeric array would coerce 1 to 1.0 and
-# numpy scalars to Python values.  The ", " and "%" inside strings and a
-# column name guard the per-chunk split and the row template.
-_COLUMNS = {
-    "k": ([3, -7, 0, 2 ** 40], None),
-    "x": ([0.1, 1e-300, -2.5, 1e22], None),
-    "ok": ([True, False, True, True], None),
-    "mixed": ([1, 2.5, -3, 0.0], object),
-    "special": ([float("nan"), float("inf"), float("-inf"), -0.0], None),
-    "z": ([1 + 2j, -0.5j, complex(float("nan"), float("inf")), 0j], None),
-    "scalars": ([np.int64(5), np.float32(0.1), np.bool_(True), np.complex64(1j)], object),
-    "100%": (["a%s", "50% off", "%d, %%", 'q"u, ote'], None),
+# Four rows: the array columns vary, the constants are the same in every
+# row.  The ", " and "%" inside a string and a column name guard the fixed
+# text between cells.
+_ARRAYS = {
+    "k": np.array([3, -7, 0, 2 ** 40]),
+    "x": np.array([0.1, 1e-300, -2.5, 1e22]),
+    "ok": np.array([True, False, True, True]),
+    "special": np.array([float("nan"), float("inf"), float("-inf"), -0.0]),
+    "small": np.array([1, -2, 127, -128], dtype=np.int8),
+}
+_CONSTANTS = {
+    "z": complex(float("nan"), float("inf")),
+    "scalar": np.float32(0.1),
+    "100%": 'a%s, "50% off", %d, %%',
+    "none": None,
 }
 
 
@@ -94,14 +114,14 @@ def _reference(rep, rows):
     return "".join(json.dumps(d, sort_keys=True, default=reports._json_default) + "\n" for d in lines)
 
 
-@pytest.mark.parametrize("split", [0, 1, 3, 4])  # rows added one at a time, then one block
+@pytest.mark.parametrize("split", [0, 1, 3, 4])  # rows added as one-row blocks, then one block
 def test_jsonl_is_byte_identical_for_rows_and_blocks(split):
-    rows = [{c: vals[i] for c, (vals, _) in _COLUMNS.items()} for i in range(4)]
-    rep = ExperimentReport.for_config(list(_COLUMNS), {"family": "demo"})
-    for r in rows[:split]:
-        rep.add(**r)
+    rows = [{**{c: v[i].item() for c, v in _ARRAYS.items()}, **_CONSTANTS} for i in range(4)]
+    rep = ExperimentReport([*_ARRAYS, *_CONSTANTS], {"family": "demo"})
+    for i in range(split):
+        rep.add(**{c: v[i : i + 1] for c, v in _ARRAYS.items()}, **_CONSTANTS)
     if split < 4:
-        rep.add(**{c: np.array(vals[split:], dtype=dt) for c, (vals, dt) in _COLUMNS.items()})
+        rep.add(**{c: v[split:] for c, v in _ARRAYS.items()}, **_CONSTANTS)
     rep.finalize()
     assert rep.summary["n_records"] == 4
     assert rep.to_jsonl() == _reference(rep, rows)
@@ -112,9 +132,9 @@ def test_jsonl_over_several_chunks():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)
     cols = {"i": np.arange(k), "x": x, "ratio": x / 3.0, "q": 7}
-    rep = ExperimentReport.for_config(list(cols), {"family": "demo"})
+    rep = ExperimentReport(list(cols), {"family": "demo"})
     rep.add(**cols)
-    rep.add(i=-1, x=0.5, ratio=1.5, q=7)
+    rep.add(i=np.array([-1]), x=np.array([0.5]), ratio=np.array([1.5]), q=7)
     rep.finalize()
     rows = [{"i": i, "x": v, "ratio": v / 3.0, "q": 7} for i, v in enumerate(x.tolist())]
     rows.append({"i": -1, "x": 0.5, "ratio": 1.5, "q": 7})
@@ -124,7 +144,7 @@ def test_jsonl_over_several_chunks():
 
 
 def test_empty_report_writes_only_the_summary():
-    rep = ExperimentReport.for_config(["a", "ratio"], {"family": "demo"})
+    rep = ExperimentReport(["a", "ratio"], {"family": "demo"})
     rep.add(a=np.array([], dtype=np.int64), ratio=np.array([]))
     rep.finalize()
     assert rep.records == [] and rep.summary == {"n_records": 0}
@@ -143,16 +163,16 @@ def test_empty_report_writes_only_the_summary():
     ids=["misspelled", "missing", "extra", "misspelled_block"],
 )
 def test_add_rejects_fields_other_than_the_columns(fields):
-    rep = ExperimentReport.for_config(["a", "ratio"], {"family": "demo"})
+    rep = ExperimentReport(["a", "ratio"], {"family": "demo"})
     with pytest.raises(TypeError):
         rep.add(**fields)
     assert len(rep) == 0
 
 
 def test_records_view_is_python_values_in_column_order():
-    rep = ExperimentReport.for_config(["n", "v"], {"family": "demo"})
+    rep = ExperimentReport(["n", "v"], {"family": "demo"})
     rep.add(n=np.array([2, 1]), v=np.array([0.5, 0.25]))
-    rep.add(n=np.int64(3), v=0.125)
+    rep.add(n=np.int64(3), v=np.array([0.125]))
     rep.add(n=np.int64(4), v=np.array([1.0, 2.0]))
     assert [list(r) for r in rep.records] == [["n", "v"]] * 5
     assert [type(r["n"]) for r in rep.records] == [int, int, np.int64, np.int64, np.int64]
@@ -162,11 +182,11 @@ def test_records_view_is_python_values_in_column_order():
     assert json.loads(rep.to_jsonl().splitlines()[0])["n"] == 2
 
 
-# Property: any mix of single rows and blocks is written as json.dumps would.
-# Keys with ", " and "%" guard the fixed text between cells.
+# Property: any sequence of blocks is written as json.dumps would.  Keys
+# with ", " and "%" guard the fixed text between cells.
 _NAMES = ["a", "b, c", "d%"]
 _SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
-_ROW_VALUES = st.one_of(
+_CONSTANT_VALUES = st.one_of(
     st.integers(-(2 ** 70), 2 ** 70),
     st.one_of(_SPECIAL, st.floats()),
     st.booleans(),
@@ -191,21 +211,16 @@ _BLOCK_ROWS = st.one_of(st.integers(0, 40), st.integers(reports._CHUNK_ROWS - 1,
 
 
 @st.composite
-def _adds(draw):
+def _blocks(draw):
     """Fields of each add call, and the rows they stand for."""
     adds, rows = [], []
     for _ in range(draw(st.integers(1, 4))):
-        if draw(st.booleans()):
-            fields = {c: draw(_ROW_VALUES) for c in _NAMES}
-            adds.append(fields)
-            rows.append(fields)
-            continue
         k = draw(_BLOCK_ROWS)
         arrays = draw(st.lists(st.sampled_from(_NAMES), min_size=1, unique=True))
         fields = {}
         for c in _NAMES:
             if c not in arrays:
-                fields[c] = draw(_ROW_VALUES)
+                fields[c] = draw(_CONSTANT_VALUES)
                 continue
             dtype = draw(st.sampled_from(list(_ARRAY_VALUES)))
             pool = np.array(draw(st.lists(_ARRAY_VALUES[dtype], min_size=1, max_size=6)), dtype=dtype)
@@ -217,11 +232,11 @@ def _adds(draw):
     return adds, rows
 
 
-@given(_adds())
+@given(_blocks())
 @settings(max_examples=30, deadline=None)
-def test_jsonl_is_json_dumps_of_any_rows_and_blocks(case):
+def test_jsonl_is_json_dumps_of_any_blocks(case):
     adds, rows = case
-    rep = ExperimentReport.for_config(_NAMES, {"family": "demo"})
+    rep = ExperimentReport(_NAMES, {"family": "demo"})
     for fields in adds:
         rep.add(**fields)
     rep.finalize()
@@ -230,15 +245,16 @@ def test_jsonl_is_json_dumps_of_any_rows_and_blocks(case):
 
 
 @pytest.mark.parametrize(
-    "family",
+    "census",
     [
-        SCensusFamily(primes=(11, 13, 17)),
-        TCensusFamily(q1_primes=(5, 7, 11), q2_primes=(13,), m_max=5),
+        lambda: bound_census(SCensusFamily(primes=(11, 13, 17))),
+        lambda: bound_census(TCensusFamily(q1_primes=(5, 7, 11), q2_primes=(13,), m_max=5)),
+        lambda: l2_error_census([(3, 11), (3, 13)], [-1.0, -1.5]),
     ],
-    ids=["S", "T"],
+    ids=["S", "T", "L2"],
 )
-def test_census_jsonl_is_json_dumps_of_its_records(family):
-    rep = bound_census(family)
+def test_census_jsonl_is_json_dumps_of_its_records(census):
+    rep = census()
     rows = rep.records
     ratios = sorted(r["ratio"] for r in rows)
     assert len(rep) == rep.summary["n_records"] == len(rows) > 0
@@ -252,7 +268,7 @@ def _census_like_report(blocks: int) -> ExperimentReport:
     float column, distinct floats and constant fields."""
     rng = np.random.default_rng(3)
     n, h, m2 = (g.ravel() for g in np.meshgrid(*[np.arange(1, 9)] * 3, indexing="ij"))
-    rep = ExperimentReport.for_config(
+    rep = ExperimentReport(
         ["q1", "q2", "m1", "m2", "n", "h", "abs_sum", "normalizer", "ratio"], {"family": "demo"}
     )
     for b in range(blocks):
