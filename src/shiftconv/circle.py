@@ -205,14 +205,17 @@ def quadrature_l2_error(A: Approximant, step: float) -> float:
 
 def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 500.0) -> ExperimentReport:
     """Sweep (Q1, Q2) anchors and delta = Q^e; one record per combination,
-    appended as one block per anchor.
+    one report block per anchor.
 
     Records L / Q^2 alongside the normalized error ratio: desk-scale prime
     counts make the density |Q| >> Q^(1-eps) unattainable, so it is reported
     rather than enforced.
     """
     cols = ["Q1", "Q2", "delta", "L", "density", "error", "bound", "ratio"]
-    rep = ExperimentReport(cols, {"anchors": list(anchors), "delta_exponents": list(delta_exponents), "h": h})
+    rep = ExperimentReport(
+        cols,
+        {"anchors": list(anchors), "delta_exponents": list(delta_exponents), "h": h, "n_max_factor": n_max_factor},
+    )
     t0 = time.perf_counter()
     for Q1, Q2 in anchors:
         ms = build_moduli_set(Q1, Q2, h)

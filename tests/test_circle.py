@@ -302,6 +302,12 @@ class TestCensus:
         for row in rep.records:
             assert 0.0 < row["density"] < 1.0
 
+    def test_config_hash_covers_n_max_factor(self):
+        # n_max_factor sets the partial sum's length, so the error it reports
+        short, long = (circle.l2_error_census([(3, 11)], [-1.0], n_max_factor=f) for f in (20.0, 500.0))
+        assert short.records[0]["error"] != long.records[0]["error"]
+        assert short.config_hash != long.config_hash
+
     def test_progress_is_logged_at_debug(self, caplog):
         args = ([(3, 11), (3, 13)], [-1.0, -1.5])
         quiet = circle.l2_error_census(*args, n_max_factor=20.0).to_jsonl()
