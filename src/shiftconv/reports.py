@@ -74,11 +74,7 @@ class ExperimentReport:
             raise OutOfRange(f"a block needs 1-D arrays of one length, got shapes {sorted(shapes)}")
         # ints, bools and floats of at most 8 bytes: tolist() gives them as
         # Python values, and each has an unsigned view of its size
-        bad = {
-            c: str(v.dtype)
-            for c, v in arrays.items()
-            if v.dtype.kind not in "iu" and v.dtype.char not in "?efd"
-        }
+        bad = {c: v.dtype for c, v in arrays.items() if v.dtype.kind not in "iu" and v.dtype.char not in "?efd"}
         if bad:
             raise OutOfRange(f"block arrays must hold ints, bools or floats of at most 8 bytes, got {bad}")
         ((k,),) = shapes
