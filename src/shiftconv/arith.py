@@ -17,6 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EmptyRange, InvalidDivisor, OutOfRange
+from .util import as_index
+
 
 def is_prime(n: int) -> bool:
     """Primality by trial division (via factorize); O(sqrt(n)) divisions."""
@@ -59,7 +61,7 @@ class PrimeModulus:
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
+        if not is_prime(as_index(self.p, "p")):
             raise InvalidDivisor(f"{self.p} is not prime")
 
 
@@ -96,19 +98,15 @@ def kloosterman_table(q: int) -> np.ndarray:
     return t
 
 
-def primes_in_dyadic(Q: int, exclude: int) -> list[PrimeModulus]:
-    """All primes p in [Q, 2Q] with p not dividing exclude, ascending.
+def primes_in_dyadic(Q: int, exclude: int) -> tuple[int, ...]:
+    """The primes p in [Q, 2Q] with p not dividing exclude, ascending, as ints.
 
     exclude = 0 disables the exclusion (every p divides 0, which would
     otherwise empty every segment; zero-shift experiments need the full set).
     """
     if Q < 2:
         raise OutOfRange("need Q >= 2")
-    ps = [
-        PrimeModulus(p)
-        for p in range(Q, 2 * Q + 1)
-        if is_prime(p) and (exclude == 0 or exclude % p != 0)
-    ]
+    ps = tuple(p for p in range(Q, 2 * Q + 1) if is_prime(p) and (exclude == 0 or exclude % p != 0))
     if not ps:
         raise EmptyRange(f"no admissible prime in [{Q}, {2 * Q}] excluding {exclude}")
     return ps

@@ -55,6 +55,7 @@ import numpy as np
 from .arith import PrimeModulus, is_prime, kloosterman_table, unit_inverses, unit_residues
 from .errors import InvalidDivisor, OutOfRange
 from .reports import ExperimentReport
+from .util import as_index
 
 log = logging.getLogger(__name__)
 
@@ -70,6 +71,8 @@ class SCharParams:
     q: int
 
     def __post_init__(self):
+        for name in ("m1", "m2", "n", "h", "q"):
+            as_index(getattr(self, name), name)
         if self.m1 < 1 or self.q < 1:
             raise InvalidDivisor(f"need m1 >= 1 and q >= 1, got m1={self.m1}, q={self.q}")
         if self.q % self.m1 != 0:
@@ -92,6 +95,8 @@ class TCharParams:
     q2: PrimeModulus
 
     def __post_init__(self):
+        for name in ("n", "m", "h"):
+            as_index(getattr(self, name), name)
         if self.q2.p in (self.q1.p, self.q1t.p):
             raise InvalidDivisor("q2 must avoid {q1, q1t}")
 
@@ -126,13 +131,17 @@ def char_sum_S_factored(
 
     m2, n and h may be integers or integer arrays and broadcast against each
     other; m1, q1 and q2 are integers.  The result has the broadcast shape,
-    and a call with three scalars returns a complex.
+    and a call with three scalars returns a complex.  Non-integer m2, n or h
+    raise OutOfRange.
     """
     if q1 == q2 or not (is_prime(q1) and is_prime(q2)):
         raise InvalidDivisor(f"q1 and q2 must be distinct primes, got {q1} and {q2}")
     if m1 < 1 or q1 * q2 % m1:
         raise InvalidDivisor(f"m1={m1} does not divide q={q1 * q2}")
-    m2, n, h = (np.asarray(x, dtype=np.int64) for x in (m2, n, h))
+    m2, n, h = (np.asarray(x) for x in (m2, n, h))
+    if any(x.dtype.kind not in "iu" for x in (m2, n, h)):
+        raise OutOfRange(f"m2, n and h must be integers, got dtypes {m2.dtype}, {n.dtype}, {h.dtype}")
+    m2, n, h = (x.astype(np.int64, copy=False) for x in (m2, n, h))
     val = np.ones(np.broadcast_shapes(m2.shape, n.shape, h.shape), dtype=complex)
     val = val * _prime_factor(q1, q2, m1, m2, n, h) * _prime_factor(q2, q1, m1, m2, n, h)
     return complex(val) if val.ndim == 0 else val
@@ -314,15 +323,15 @@ def _census_s(family: SCensusFamily) -> ExperimentReport:
     cols = ["q1", "q2", "m1", "m2", "n", "h", "abs_sum", "normalizer", "ratio"]
     rep = ExperimentReport(cols, {"family": "S", **family.__dict__})
     t0 = time.perf_counter()
-    m2s = list(range(1, family.m2_max + 1))
+    m2s = np.array(range(1, family.m2_max + 1), dtype=np.int64)
     for q1 in family.primes:
         for q2 in family.primes:
             if q1 == q2:
                 continue
             q = q1 * q2
-            ns = [n for n in range(1, family.n_max + 1) if math.gcd(n, q) == 1]
-            hs = [h for h in range(1, family.h_max + 1) if math.gcd(h, q) == 1]
-            n_ax, h_ax = np.reshape(ns, (-1, 1, 1)), np.reshape(hs, (-1, 1))
+            ns = np.array([n for n in range(1, family.n_max + 1) if math.gcd(n, q) == 1], dtype=np.int64)
+            hs = np.array([h for h in range(1, family.h_max + 1) if math.gcd(h, q) == 1], dtype=np.int64)
+            n_ax, h_ax = ns.reshape(-1, 1, 1), hs.reshape(-1, 1)
             # one block per m1 on axes (n, h, m2), flattened in record order
             n, h, m2 = (g.ravel() for g in np.meshgrid(ns, hs, m2s, indexing="ij"))
             for m1 in (1, q1, q2, q):

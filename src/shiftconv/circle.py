@@ -71,9 +71,7 @@ def build_moduli_set(Q1: int, Q2: int, h: int) -> ModuliSet:
     """P1 x P2 from the primes of [Q1, 2Q1] and [Q2, 2Q2] not dividing h."""
     if not (2 * Q1 < Q2 or 2 * Q2 < Q1):
         raise OverlappingRanges(f"[{Q1},{2 * Q1}] and [{Q2},{2 * Q2}] intersect")
-    P1 = tuple(p.p for p in primes_in_dyadic(Q1, h))
-    P2 = tuple(p.p for p in primes_in_dyadic(Q2, h))
-    return ModuliSet(Q1=Q1, Q2=Q2, P1=P1, P2=P2)
+    return ModuliSet(Q1=Q1, Q2=Q2, P1=primes_in_dyadic(Q1, h), P2=primes_in_dyadic(Q2, h))
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,21 @@ whole-byte w before each squaring.
 
 The degree-3 table is the symmetric-square lift: at a prime p with Satake
 parameters {a, 1/a} (so lambda2(p) = a + 1/a), the lift has parameters
-{a^2, 1, a^-2}.  Coefficients at prime powers are Schur polynomials in these
+{a^2, 1, a^-2}.  Its first row at prime powers is a Schur polynomial in these
 parameters,
 
-    lam(p^r, p^s) = h_{r+s} h_s - h_{r+s+1} h_{s-1},
+    lam(1, p^s) = h_s h_s - h_{s+1} h_{s-1},
 
 where h_k = lam(p^k, 1) satisfies h_k = c(h_{k-1} - h_{k-2}) + h_{k-3} with
-c = lambda2(p)^2 - 1, and values extend multiplicatively across primes.
+c = lambda2(p)^2 - 1.  The first row lam(1, n) is a sieve over prime powers:
+for each prime p <= N, one array product multiplies every multiple of p by
+lam(1, p^s), s its p-adic valuation.
 
-The first row lam(1, n) is a sieve over prime powers: for each prime p <= N,
-one array product multiplies every multiple of p by lam(1, p^s), s its p-adic
-valuation.  lam(m1, m2) factors m1 m2 with arith.factorize instead.
+The table holds that row only.  The lift is self-dual, lam(m, 1) = lam(1, m),
+so the GL(3) Hecke relation gives every other value from it (Goldfeld,
+Automorphic Forms and L-Functions for the Group GL(n, R), section 6.4):
+
+    lam(m1, m2) = sum over d | (m1, m2) of mu(d) lam(1, m1/d) lam(1, m2/d).
 
 Tables are built once and immutable afterwards; reads are thread-safe.
 """
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -141,36 +144,23 @@ def build_gl2_table(k: int, N: int) -> GL2CoefficientTable:
     return GL2CoefficientTable(N=N, values=values, integer_values=tuple(ints))
 
 
-def _local(h, r, s):
-    """lam(p^r, p^s) = h_{r+s} h_s - h_{r+s+1} h_{s-1} from p's h table (h_{-1} = 0)."""
-    hm1 = h[s - 1] if s >= 1 else 0.0
-    return h[r + s] * h[s] - h[r + s + 1] * hm1
-
-
 @dataclass(frozen=True)
 class GL3CoefficientTable:
-    """Symmetric-square coefficients lam(m1, m2) for m1 * m2 <= N."""
+    """Symmetric-square coefficients lam(m1, m2) for m1 * m2 <= N, stored as
+    the read-only first row; lam(m1, m2) comes from it by the Hecke relation."""
 
     N: int
-    h_tables: MappingProxyType = field(repr=False)  # prime -> array of h_k values
-    first_row: np.ndarray = field(repr=False)       # first_row[n] = lam(1, n)
+    first_row: np.ndarray = field(repr=False)  # first_row[n] = lam(1, n)
 
     def lam(self, m1: int, m2: int) -> float:
         m1, m2 = as_index(m1, "m1"), as_index(m2, "m2")
         if m1 < 1 or m2 < 1 or m1 * m2 > self.N:
             raise OutOfRange(f"(m1, m2) = ({m1}, {m2}) outside m1*m2 <= {self.N}")
-        val = 1.0
-        for p, _ in factorize(m1 * m2):  # p^(r + s) <= N, inside p's h table
-            r = 0
-            while m1 % p == 0:
-                m1 //= p
-                r += 1
-            s = 0
-            while m2 % p == 0:
-                m2 //= p
-                s += 1
-            val *= _local(self.h_tables[p], r, s)
-        return val
+        terms = [(1, 1.0)]  # (d, mu(d)) over the squarefree divisors of (m1, m2)
+        for p, _ in factorize(math.gcd(m1, m2)):
+            terms += [(d * p, -mu) for d, mu in terms]
+        row = self.first_row
+        return float(sum(mu * row[m1 // d] * row[m2 // d] for d, mu in terms))
 
 
 def sym2_local_expansion(lam_p: float, kmax: int) -> np.ndarray:
@@ -205,20 +195,17 @@ def build_gl3_sym2_table(base: GL2CoefficientTable, N: int) -> GL3CoefficientTab
             sieve[p * p :: p] = False
     # Multiplicative sieve, largest prime first: each first[n] multiplies its
     # local factors onto 1.0 from the largest prime down; that order fixes rounding.
-    h_tables = {}
     first = np.ones(N + 1)
     for p in np.flatnonzero(sieve)[::-1].tolist():
         kmax = 1
         while p ** kmax <= N:
             kmax += 1
         c = base.lam(p) ** 2 - 1.0
-        h = [0.0, 0.0, 1.0]  # h_{-2}, h_{-1}, h_0, then the recurrence
-        for _ in range(kmax + 2):
+        h = [0.0, 0.0, 1.0]  # h_{-2}, h_{-1}, h_0, then the recurrence up to h_kmax
+        for _ in range(kmax):
             h.append(c * (h[-1] - h[-2]) + h[-3])
         h = h[2:]
-        local = np.array([_local(h, 0, s) for s in range(1, kmax)])  # lam(1, p^s)
-        h_tables[p] = np.array(h)
-        h_tables[p].setflags(write=False)
+        local = np.array([h[s] * h[s] - h[s + 1] * h[s - 1] for s in range(1, kmax)])  # lam(1, p^s)
         v = np.zeros(N // p, dtype=np.intp)  # v[j - 1] = ord_p(j), so p j has s = v + 1
         pk = p
         while pk <= N // p:
@@ -226,8 +213,7 @@ def build_gl3_sym2_table(base: GL2CoefficientTable, N: int) -> GL3CoefficientTab
             pk *= p
         first[p::p] *= local[v]
     first.setflags(write=False)
-    h_tables = MappingProxyType(dict(reversed(h_tables.items())))  # ascending primes
-    return GL3CoefficientTable(N=N, h_tables=h_tables, first_row=first)
+    return GL3CoefficientTable(N=N, first_row=first)
 
 
 def rankin_selberg_average(table, x) -> float:

@@ -161,16 +161,16 @@ def test_cached_tables_are_read_only(table):
 
 class TestPrimesInDyadic:
     def test_sieve_examples(self):
-        assert [p.p for p in arith.primes_in_dyadic(10, 1)] == [11, 13, 17, 19]
-        assert [p.p for p in arith.primes_in_dyadic(10, 11)] == [13, 17, 19]
-        assert [p.p for p in arith.primes_in_dyadic(2, 1)] == [2, 3]
+        assert arith.primes_in_dyadic(10, 1) == (11, 13, 17, 19)
+        assert arith.primes_in_dyadic(10, 11) == (13, 17, 19)
+        assert arith.primes_in_dyadic(2, 1) == (2, 3)
 
     def test_empty_range(self):
         with pytest.raises(EmptyRange):
             arith.primes_in_dyadic(2, 6)  # excludes both 2 and 3
 
     def test_zero_shift_excludes_nothing(self):
-        assert [p.p for p in arith.primes_in_dyadic(3, 0)] == [3, 5]
+        assert arith.primes_in_dyadic(3, 0) == (3, 5)
 
     @given(st.integers(2, 400))
     @settings(max_examples=40)
@@ -181,8 +181,7 @@ class TestPrimesInDyadic:
             if sieve[p]:
                 sieve[p * p :: p] = False
         expect = [p for p in range(Q, 2 * Q + 1) if sieve[p]]
-        got = [p.p for p in arith.primes_in_dyadic(Q, 1)]
-        assert got == expect
+        assert arith.primes_in_dyadic(Q, 1) == tuple(expect)
 
 
 class TestPrimality:

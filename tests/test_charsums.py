@@ -170,6 +170,39 @@ def scalar_census_s(family):
     return out
 
 
+def scalar_census_t(family):
+    """The T census as one scalar char_sum_T call per tuple: its rows, in
+    order, and the (checked, passed) counts of the vanishing-law tuples."""
+    out, checked, passed = [], 0, 0
+    for q1 in family.q1_primes:
+        for q1t in family.q1_primes:
+            # q1 > q1t off the diagonal is the mirror of (q1t, q1)
+            if (q1 == q1t) != family.diagonal or (not family.diagonal and q1 > q1t):
+                continue
+            for q2 in family.q2_primes:
+                if q2 in (q1, q1t):
+                    continue
+                for n in family.n_values:
+                    for h in family.h_values:
+                        for k in range(1, family.m_max + 1):
+                            m = q1 * k if family.diagonal else k
+                            p = tparams(n, m, h, q1, q1t, q2)
+                            v = abs(cs.char_sum_T(p))
+                            if family.diagonal:
+                                norm = q1 ** 2.5 * q2 ** 2.5 * math.sqrt(math.gcd(k, q1 * q2))
+                            elif math.gcd(m, q1 * q1t) > 1:
+                                checked += 1
+                                passed += v < cs.char_sum_T_tolerance(p)
+                                continue
+                            else:
+                                norm = q1 ** 1.5 * q1t ** 1.5 * q2 ** 2.5 * math.sqrt(math.gcd(m, q2))
+                            out.append(dict(
+                                q1=q1, q1t=q1t, q2=q2, n=n, m=m, h=h,
+                                abs_sum=v, normalizer=norm, ratio=v / norm,
+                            ))
+    return out, checked, passed
+
+
 class TestSFactoredArrays:
     @pytest.mark.parametrize("q1,q2", [(3, 5), (5, 7), (7, 11)])
     def test_broadcast_matches_direct(self, q1, q2):
@@ -519,6 +552,24 @@ class TestBoundCensus:
         rep = cs.bound_census(fam)
         assert rep.summary["vanish_checked"] > 0
         assert rep.summary["vanish_passed"] == rep.summary["vanish_checked"]
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["offdiag", "diag"])
+    def test_t_census_matches_scalar_loop(self, diagonal):
+        fam = cs.TCensusFamily(q1_primes=(3, 5, 7), q2_primes=(11, 13), m_max=6, diagonal=diagonal)
+        rep = cs.bound_census(fam)
+        want, checked, passed = scalar_census_t(fam)
+        got = rep.records
+        assert len(got) == len(want) > 0
+        for r, w in zip(got, want):
+            assert list(r) == list(w)
+            assert [r[k] for k in ("q1", "q1t", "q2", "n", "m", "h")] == [
+                w[k] for k in ("q1", "q1t", "q2", "n", "m", "h")
+            ]
+            for k in ("abs_sum", "normalizer", "ratio"):
+                assert r[k] == pytest.approx(w[k], rel=1e-12, abs=0)
+        assert (rep.summary["vanish_checked"], rep.summary["vanish_passed"]) == (checked, passed)
+        assert checked == passed
+        assert (checked == 0) == diagonal  # the vanishing laws are off the diagonal only
 
     def test_empty_family(self):
         fam = cs.SCensusFamily(primes=(), m2_max=0, n_max=0, h_max=0)

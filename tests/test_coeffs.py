@@ -2,6 +2,7 @@
 
 import functools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,29 +233,43 @@ class TestGL3:
         rhs = gl3.lam(a1, a2) * gl3.lam(b1, b2)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
-    def test_euler_factor_oracle(self, gl3, gl2):
-        # h_k from the recursion must match the direct local expansion
-        for p in (2, 3, 5, 7, 13):
-            h = gl3.h_tables[p]
-            oracle = coeffs.sym2_local_expansion(gl2.lam(p), len(h) - 1)
-            assert np.allclose(h, oracle, atol=1e-9)
+    def test_jacobi_trudi_oracle(self, gl3, gl2):
+        # lam(p^r, p^s) = H_{r+s} H_s - H_{r+s+1} H_{s-1} (H_{-1} = 0), H_k from
+        # the Satake parameters: checks lam's self-duality and Hecke relation
+        for p in (2, 3, 5, 7, 13, 61):
+            kmax = 0
+            while p ** (kmax + 1) <= gl3.N:
+                kmax += 1
+            H = coeffs.sym2_local_expansion(gl2.lam(p), kmax + 1)
+            H = np.append(H, 0.0)  # so H[-1] = 0
+            for r in range(kmax + 1):
+                for s in range(kmax + 1 - r):
+                    want = H[r + s] * H[s] - H[r + s + 1] * H[s - 1]
+                    assert gl3.lam(p ** r, p ** s) == pytest.approx(want, rel=0, abs=1e-9)
 
     def test_first_row_matches_lam(self, gl3):
-        # the prime-power sieve and lam's factorization are separate paths
+        # lam(1, n) is the row itself: the Hecke sum has the one term d = 1
         lam = np.array([gl3.lam(1, n) for n in range(1, gl3.N + 1)])
-        np.testing.assert_allclose(gl3.first_row[1:], lam, rtol=1e-12, atol=0)
+        assert np.array_equal(gl3.first_row[1:], lam)
 
     def test_insufficient_base(self, gl2):
         with pytest.raises(InsufficientBase):
             coeffs.build_gl3_sym2_table(gl2, gl2.N + 1)
 
-    def test_h_tables_are_read_only(self, gl3):
-        # lam reads these tables; a write would change every later lam
-        with pytest.raises(TypeError):
-            gl3.h_tables[2] = None
+    def test_first_row_is_read_only(self, gl3):
+        # lam reads the row; a write would change every later lam
         with pytest.raises(ValueError):
-            gl3.h_tables[2][0] = 0.0
+            gl3.first_row[2] = 0.0
         assert gl3.lam(1, 2) == pytest.approx(-0.718750, abs=1e-6)
+
+    def test_table_holds_only_its_first_row(self, gl2):
+        tracemalloc.start()
+        try:
+            table = coeffs.build_gl3_sym2_table(gl2, 4000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1.5 * table.first_row.nbytes
 
 
 class TestRankinSelberg:

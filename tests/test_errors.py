@@ -35,6 +35,7 @@ def _approximant(delta):
         (lambda: coeffs.build_gl3_sym2_table(coeffs.build_gl2_table(12, 10), 0), OutOfRange),
         (lambda: arith.kloosterman_table(0), OutOfRange),
         (lambda: P(15), InvalidDivisor),
+        (lambda: P(3.0), OutOfRange),
         (lambda: charsums.TCharParams(n=1, m=1, h=1, q1=P(3), q1t=P(5), q2=P(5)), InvalidDivisor),
         (lambda: charsums.TCharParams(n=1, m=1, h=1, q1=P(3), q1t=P(3), q2=P(3)), InvalidDivisor),
         (
@@ -45,6 +46,16 @@ def _approximant(delta):
         ),
         (
             lambda: ExperimentReport(["a", "b"], {}).add(a=np.arange(2), b=np.arange(3)),
+            OutOfRange,
+        ),
+        (lambda: charsums.char_sum_S_factored(1, 2.5, 1, 1, 3, 5), OutOfRange),
+        (lambda: charsums.char_sum_S_factored(1, 2, np.array([1.0, 2.0]), 1, 3, 5), OutOfRange),
+        (lambda: charsums.SCharParams(1, 2.5, 1, 1, 15), OutOfRange),
+        (lambda: charsums.TCharParams(n=1.5, m=1, h=1, q1=P(3), q1t=P(5), q2=P(7)), OutOfRange),
+        (
+            lambda: charsums.bound_census(
+                charsums.TCensusFamily(q1_primes=(3, 5), q2_primes=(7,), m_max=2, n_values=(1.5,))
+            ),
             OutOfRange,
         ),
     ],
@@ -67,10 +78,16 @@ def _approximant(delta):
         "gl3_table_N_zero",
         "kloosterman_table_q_below_1",
         "prime_modulus_composite",
+        "prime_modulus_not_integer",
         "t_params_q2_is_q1t",
         "t_params_q2_is_q1",
         "t1_closed_form_which_unknown",
         "report_block_lengths_differ",
+        "s_factored_m2_not_integer",
+        "s_factored_n_float_array",
+        "s_params_m2_not_integer",
+        "t_params_n_not_integer",
+        "t_census_n_not_integer",
     ],
 )
 def test_bad_input_raises_package_error(call, error):
