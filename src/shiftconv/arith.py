@@ -22,11 +22,13 @@ from .util import as_index
 
 def is_prime(n: int) -> bool:
     """Primality by trial division (via factorize); O(sqrt(n)) divisions."""
+    n = as_index(n, "n")
     return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """(prime, exponent) pairs of n >= 1, ascending, by trial division."""
+    n = as_index(n, "n")
     if n < 1:
         raise OutOfRange("factorize needs n >= 1")
     out = []
@@ -46,6 +48,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def euler_phi(q: int) -> int:
     """phi(q) via factorization; phi(1) = 1."""
+    q = as_index(q, "q")
     if q < 1:
         raise OutOfRange("euler_phi needs q >= 1")
     r = 1
@@ -104,6 +107,7 @@ def primes_in_dyadic(Q: int, exclude: int) -> tuple[int, ...]:
     exclude = 0 disables the exclusion (every p divides 0, which would
     otherwise empty every segment; zero-shift experiments need the full set).
     """
+    Q, exclude = as_index(Q, "Q"), as_index(exclude, "exclude")
     if Q < 2:
         raise OutOfRange("need Q >= 2")
     ps = tuple(p for p in range(Q, 2 * Q + 1) if is_prime(p) and (exclude == 0 or exclude % p != 0))

@@ -36,9 +36,11 @@ Each sum has one evaluator per use:
                           per field;
     char_sum_T            built from the same per-prime factors of S: by
                           CRT the alpha-sum splits into one sum mod each
-                          prime, O(q1 + q1t + q2) per T once cached; the
-                          T census calls it once per (n, h, m) tuple and
-                          appends one block per prime triple, like S.
+                          prime, and one length-r inverse FFT of each
+                          cached alpha-vector gives that sum at every m,
+                          so m may be an int or an array; the T census
+                          calls it once per (q1, q1t, q2, n, h) on all its
+                          m and appends that block, like S.
 """
 
 from __future__ import annotations
@@ -83,20 +85,25 @@ class SCharParams:
 class TCharParams:
     """Parameters (n, m, h) of T over the prime triple (q1, q1t, q2).
 
-    q1 = q1t is permitted (the two inner S then share a modulus); q2 must
-    differ from both.
+    m is an int or a 1-D int array of dual frequencies; char_sum_T then
+    returns T at each of them.  q1 = q1t is permitted (the two inner S then
+    share a modulus); q2 must differ from both.
     """
 
     n: int
-    m: int
+    m: int | np.ndarray
     h: int
     q1: PrimeModulus
     q1t: PrimeModulus
     q2: PrimeModulus
 
     def __post_init__(self):
-        for name in ("n", "m", "h"):
+        for name in ("n", "h"):
             as_index(getattr(self, name), name)
+        if not isinstance(self.m, np.ndarray):
+            as_index(self.m, "m")
+        elif self.m.ndim != 1 or self.m.dtype.kind not in "iu":
+            raise OutOfRange(f"m must be an int or a 1-D int array, got {self.m.dtype} of shape {self.m.shape}")
         if self.q2.p in (self.q1.p, self.q1t.p):
             raise InvalidDivisor("q2 must avoid {q1, q1t}")
 
@@ -177,7 +184,7 @@ def _t_factors(p: TCharParams):
             for q in (p.q1.p, p.q1t.p)]
 
 
-def char_sum_T(p: TCharParams) -> complex:
+def char_sum_T(p: TCharParams) -> complex | np.ndarray:
     """T(n, m, h; q1, q1t, q2): its alpha-sum reindexed by CRT, exactly.
 
     With S_a = A_q1 A_q2 and S_b = B_q1t B_q2 (_t_factors), alpha <-> (x, y, z)
@@ -186,19 +193,23 @@ def char_sum_T(p: TCharParams) -> complex:
     B_q1t e] [sum_z A_q2 conj B_q2 e].  For q1 = q1t the summand has period
     q1 q2: T = 0 unless m = q1 m', and then T = q1 sum over beta mod q1 q2 of
     |S(beta)|^2 e_{q1 q2}(m' beta), which splits the same way.
+
+    Each short sum is sum_x v_r(x) e_r(k x) = r ifft(v_r)[k], so one length-r
+    inverse FFT per prime gives T at every m: p.m is an int, for which the
+    result is a complex, or a 1-D int array, for which it is an array of the
+    same length.  m is reduced mod Q = q1 q1t q2, a period of T, first.
     """
     q1, q1t, q2 = p.q1.p, p.q1t.p, p.q2.p
     (a1, a2), (b1, b2) = _t_factors(p)
+    # one array path for both kinds of m, so a scalar gets the array's bits
+    m = np.atleast_1d(np.asarray(p.m % (q1 * q1t * q2), dtype=np.int64))
     if q1 == q1t:
-        if p.m % q1:
-            return 0j
-        scale, m, terms = q1, p.m // q1, [(q1, np.abs(a1) ** 2), (q2, np.abs(a2) ** 2)]
+        scale, m, terms = q1 * (m % q1 == 0), m // q1, [(q1, np.abs(a1) ** 2), (q2, np.abs(a2) ** 2)]
     else:
-        scale, m, terms = 1, p.m, [(q1, a1), (q1t, np.conj(b1)), (q2, a2 * np.conj(b2))]
+        scale, terms = 1, [(q1, a1), (q1t, np.conj(b1)), (q2, a2 * np.conj(b2))]
     big = math.prod(r for r, _ in terms)
-    return scale * math.prod(
-        complex(v @ _eq_pow(r, m * pow(big // r, -1, r) % r * np.arange(r))) for r, v in terms
-    )
+    val = scale * math.prod(r * np.fft.ifft(v)[m % r * pow(big // r, -1, r) % r] for r, v in terms)
+    return val if isinstance(p.m, np.ndarray) else complex(val[0])
 
 
 def char_sum_T_tolerance(p: TCharParams) -> float:
@@ -278,7 +289,9 @@ class SCensusFamily:
     """Sweep of S over pairs of distinct primes and small (m2, n, h) boxes.
 
     m1 runs over all divisors {1, q1, q2, q1 q2}; tuples with gcd(n h, q) > 1
-    are skipped (the bound is stated for n, h coprime to q).
+    are skipped (the bound is stated for n, h coprime to q).  A non-integer
+    count or prime raises OutOfRange, a composite prime InvalidDivisor; the
+    fields are stored as given.
     """
 
     primes: tuple
@@ -286,10 +299,19 @@ class SCensusFamily:
     n_max: int = 10
     h_max: int = 10
 
+    def __post_init__(self):
+        for name in ("m2_max", "n_max", "h_max"):
+            as_index(getattr(self, name), name)
+        for q in self.primes:
+            PrimeModulus(q)
+
 
 @dataclass(frozen=True)
 class TCensusFamily:
-    """Sweep of T; diagonal=True restricts to q1 = q1t with m = q1 m'."""
+    """Sweep of T; diagonal=True restricts to q1 = q1t with m = q1 m'.
+
+    Checked at construction as SCensusFamily is, n_values and h_values too.
+    """
 
     q1_primes: tuple
     q2_primes: tuple
@@ -297,6 +319,14 @@ class TCensusFamily:
     n_values: tuple = (1, 2, 3)
     h_values: tuple = (1, 2)
     diagonal: bool = False
+
+    def __post_init__(self):
+        as_index(self.m_max, "m_max")
+        for name in ("n_values", "h_values"):
+            for v in getattr(self, name):
+                as_index(v, name)
+        for q in (*self.q1_primes, *self.q2_primes):
+            PrimeModulus(q)
 
 
 def _s_normalizer(q, m1, m2):
@@ -352,31 +382,30 @@ def _census_t(family: TCensusFamily) -> ExperimentReport:
     rep = ExperimentReport(cols, {"family": "T", "normalizer": normalizer, **family.__dict__})
     t0 = time.perf_counter()
     vanish_checked = vanish_passed = 0
+    ks = np.arange(1, family.m_max + 1, dtype=np.int64)
     for q1, q1t, q2 in itertools.product(family.q1_primes, family.q1_primes, family.q2_primes):
         if family.diagonal != (q1 == q1t) or q2 in (q1, q1t):
             continue
         if not family.diagonal and q1 > q1t:
             continue  # T(q1t, q1) pairs with m -> -m; sweep unordered
         moduli = {"q1": PrimeModulus(q1), "q1t": PrimeModulus(q1t), "q2": PrimeModulus(q2)}
-        keys, values = [], []  # (n, m, h) and (|T|, normalizer) of each row
-        for n, h, m in itertools.product(family.n_values, family.h_values, range(1, family.m_max + 1)):
-            params = TCharParams(n=n, m=(q1 * m if family.diagonal else m), h=h, **moduli)
-            v = abs(char_sum_T(params))
-            if not family.diagonal and math.gcd(m, q1 * q1t) != 1:
-                # vanishing law tuple: count it, expect ~0
-                vanish_checked += 1
-                if v < char_sum_T_tolerance(params):
-                    vanish_passed += 1
-                continue
-            if family.diagonal:
-                norm = q1 ** 2.5 * q2 ** 2.5 * math.sqrt(math.gcd(m, q1 * q2))
-            else:
-                norm = q1 ** 1.5 * q1t ** 1.5 * q2 ** 2.5 * math.sqrt(math.gcd(params.m, q2))
-            keys.append((n, params.m, h))
-            values.append((v, norm))
-        n, m, h = np.array(keys, dtype=np.int64).reshape(-1, 3).T
-        abs_sum, norm = np.array(values, dtype=float).reshape(-1, 2).T
-        rep.add(q1=q1, q1t=q1t, q2=q2, n=n, m=m, h=h, abs_sum=abs_sum, normalizer=norm, ratio=abs_sum / norm)
+        if family.diagonal:
+            m, vanish = q1 * ks, np.zeros(ks.shape, dtype=bool)
+            norm = q1 ** 2.5 * q2 ** 2.5 * np.sqrt(np.gcd(ks, q1 * q2))
+        else:
+            # vanishing-law tuples, gcd(m, q1 q1t) > 1: counted, expected ~0, not recorded
+            m, vanish = ks, np.gcd(ks, q1 * q1t) != 1
+            norm = q1 ** 1.5 * q1t ** 1.5 * q2 ** 2.5 * np.sqrt(np.gcd(ks, q2))
+        keep = ~vanish
+        for n, h in itertools.product(family.n_values, family.h_values):
+            params = TCharParams(n=n, m=m, h=h, **moduli)
+            v = np.abs(char_sum_T(params))
+            vanish_checked += int(vanish.sum())
+            vanish_passed += int((v[vanish] < char_sum_T_tolerance(params)).sum())
+            rep.add(
+                q1=q1, q1t=q1t, q2=q2, n=n, m=m[keep], h=h,
+                abs_sum=v[keep], normalizer=norm[keep], ratio=v[keep] / norm[keep],
+            )
         log.debug(
             "T census (q1, q1t, q2) = (%d, %d, %d): %d rows, %.3f s",
             q1, q1t, q2, len(rep), time.perf_counter() - t0,

@@ -69,6 +69,7 @@ class ModuliSet:
 
 def build_moduli_set(Q1: int, Q2: int, h: int) -> ModuliSet:
     """P1 x P2 from the primes of [Q1, 2Q1] and [Q2, 2Q2] not dividing h."""
+    Q1, Q2, h = as_index(Q1, "Q1"), as_index(Q2, "Q2"), as_index(h, "h")
     if not (2 * Q1 < Q2 or 2 * Q2 < Q1):
         raise OverlappingRanges(f"[{Q1},{2 * Q1}] and [{Q2},{2 * Q2}] intersect")
     return ModuliSet(Q1=Q1, Q2=Q2, P1=primes_in_dyadic(Q1, h), P2=primes_in_dyadic(Q2, h))

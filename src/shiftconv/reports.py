@@ -10,7 +10,7 @@ every row of the block, stored once.  A block has at least one array; its
 arrays are 1-D, of one length, and hold ints, uints, floats or bools of at
 most 8 bytes each.  Arrays are copied, and the other fields are kept as
 given.  The S census appends one block per (q1, q2, m1), the T census one
-per prime triple and the L2 census one per anchor.
+per (q1, q1t, q2, n, h) and the L2 census one per anchor.
 
 `records` is a read view: the rows as dicts in column order, with array
 values as Python ints and floats and a block's constant fields repeated as

@@ -424,6 +424,35 @@ class TestTCharSum:
             assert abs(abs(a) - abs(b)) < 1e-6 * max(1.0, abs(a))
 
 
+class TestTArrayM:
+    """char_sum_T on an int array of m: the scalar values, bit for bit."""
+
+    @pytest.mark.parametrize("q1,q1t,q2", [(3, 5, 7), (7, 5, 2), (5, 5, 13), (11, 11, 2)])
+    @pytest.mark.parametrize("n,h", [(1, 1), (4, 0)])
+    def test_matches_scalar_calls(self, q1, q1t, q2, n, h):
+        # negative m, m = 0 and m = 0 mod q1 (the diagonal's nonzero ones)
+        ms = np.array([-2 * q1, -7, -1, 0, 1, 2, q1, 3 * q1, q1 * q1t * q2 + 1, 40])
+        got = cs.char_sum_T(tparams(n, ms, h, q1, q1t, q2))
+        want = np.array([cs.char_sum_T(tparams(n, int(m), h, q1, q1t, q2)) for m in ms])
+        assert got.shape == ms.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_scalar_returns_complex(self):
+        assert type(cs.char_sum_T(tparams(1, 2, 1, 3, 5, 7))) is complex
+        assert type(cs.char_sum_T(tparams(1, np.int64(2), 1, 3, 5, 7))) is complex
+
+    def test_unsigned_array(self):
+        got = cs.char_sum_T(tparams(1, np.array([2, 4], dtype=np.uint64), 1, 3, 5, 7))
+        assert got.tobytes() == cs.char_sum_T(tparams(1, np.array([2, 4]), 1, 3, 5, 7)).tobytes()
+
+    @pytest.mark.parametrize("q1,q1t,q2", [(3, 5, 7), (5, 5, 13)])
+    def test_m_beyond_int64(self, q1, q1t, q2):
+        # T has period q1 q1t q2 in m; a Python int past 2^63 reduces first
+        q = q1 * q1t * q2
+        for m in (2 ** 70 + 5, q1 * (2 ** 70 + 5), -(2 ** 70)):
+            assert cs.char_sum_T(tparams(2, m, 1, q1, q1t, q2)) == cs.char_sum_T(tparams(2, m % q, 1, q1, q1t, q2))
+
+
 # diagonal and off-diagonal triples, the primes 2 and 3 included
 SWEEP_TRIPLES = [
     (2, 3, 5), (3, 2, 5), (2, 2, 3), (3, 3, 2), (5, 7, 2), (7, 5, 3), (5, 5, 13),
@@ -589,7 +618,7 @@ class TestBoundCensus:
     @pytest.mark.parametrize("empty", [{"h_values": ()}, {"m_max": 0}], ids=["no_h", "no_m"])
     @pytest.mark.parametrize("diagonal", [False, True])
     def test_zero_length_t_blocks(self, empty, diagonal):
-        # each prime triple has no tuple, so appends an empty block
+        # no (n, h) pair appends a block, or each appends an empty one
         rep = cs.bound_census(cs.TCensusFamily(q1_primes=(3, 5), q2_primes=(7,), diagonal=diagonal, **empty))
         assert rep.records == []
         assert [json.loads(line) for line in rep.to_jsonl().splitlines()] == [

@@ -58,6 +58,21 @@ def _approximant(delta):
             ),
             OutOfRange,
         ),
+        (lambda: charsums.TCharParams(n=1, m=np.array([1.0, 2.0]), h=1, q1=P(3), q1t=P(5), q2=P(7)), OutOfRange),
+        (lambda: charsums.TCharParams(n=1, m=np.ones((2, 2), dtype=int), h=1, q1=P(3), q1t=P(5), q2=P(7)), OutOfRange),
+        (lambda: charsums.SCensusFamily(primes=(3, 5), m2_max=2.5), OutOfRange),
+        (lambda: charsums.SCensusFamily(primes=(3.0, 5)), OutOfRange),
+        (lambda: charsums.SCensusFamily(primes=(3, 15)), InvalidDivisor),
+        (lambda: charsums.TCensusFamily(q1_primes=(3, 5), q2_primes=(7,), m_max=2.0), OutOfRange),
+        (lambda: charsums.TCensusFamily(q1_primes=(3, 5), q2_primes=(7.0,)), OutOfRange),
+        (lambda: charsums.TCensusFamily(q1_primes=(3, 9), q2_primes=(7,)), InvalidDivisor),
+        (lambda: charsums.TCensusFamily(q1_primes=(3, 5), q2_primes=(7,), h_values=(1, 2.5)), OutOfRange),
+        (lambda: arith.factorize(6.0), OutOfRange),
+        (lambda: arith.is_prime(3.0), OutOfRange),
+        (lambda: arith.euler_phi(7.5), OutOfRange),
+        (lambda: arith.primes_in_dyadic(10.5, 1), OutOfRange),
+        (lambda: arith.primes_in_dyadic(10, 1.0), OutOfRange),
+        (lambda: circle.build_moduli_set(3, 11.0, 1), OutOfRange),
     ],
     ids=[
         "weight12_N_below_1",
@@ -88,6 +103,21 @@ def _approximant(delta):
         "s_params_m2_not_integer",
         "t_params_n_not_integer",
         "t_census_n_not_integer",
+        "t_params_m_float_array",
+        "t_params_m_2d_array",
+        "s_family_m2_max_not_integer",
+        "s_family_prime_not_integer",
+        "s_family_prime_composite",
+        "t_family_m_max_not_integer",
+        "t_family_prime_not_integer",
+        "t_family_prime_composite",
+        "t_family_h_not_integer",
+        "factorize_n_not_integer",
+        "is_prime_n_not_integer",
+        "euler_phi_q_not_integer",
+        "primes_in_dyadic_Q_not_integer",
+        "primes_in_dyadic_exclude_not_integer",
+        "build_moduli_set_Q2_not_integer",
     ],
 )
 def test_bad_input_raises_package_error(call, error):
