@@ -1,9 +1,10 @@
-"""Exact modular arithmetic and the Kloosterman table.
+"""Exact modular arithmetic and the Kloosterman row.
 
 Conventions (q = 1 throughout means the empty product):
     e_q(x)   = exp(2 pi i x / q)
     phi(q)   = #units mod q, phi(1) = 1
     S(a,b;q) = sum over units x mod q of e_q(a x + b xbar),  S(a,b;1) = 1
+    K[c]     = S(1, c; q), the Kloosterman row; S(a, b; q) = K[a b] for a unit a
 
 Everything here is pure and reentrant; cached tables are built once and
 read-only afterwards.
@@ -89,16 +90,18 @@ def unit_inverses(q: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def kloosterman_table(q: int) -> np.ndarray:
-    """Full table T[a, b] = S(a, b; q) as a q x q complex array.
+    """The row K[c] = S(1, c; q), c mod q, as a length-q complex vector.
 
-    S(a, b; q) is the 2-D DFT of the indicator M of the pairs (x, xbar), x a
-    unit, so the table is one q x q inverse FFT; cost O(q^2 log q).
+    For a unit a mod q, S(a, b; q) = K[a b mod q] (substitute x -> abar x),
+    so the row holds every sum with one argument a unit.  With y = xbar,
+    K[c] = sum over units y of e_q(ybar) e_q(c y): the DFT of w[y] = e_q(ybar)
+    at the units, so K = q ifft(w); cost O(q log q), memory O(q).
     """
-    m = np.zeros((q, q))
-    m[unit_residues(q), unit_inverses(q)] = 1.0
-    t = q * q * np.fft.ifft2(m)  # [a, b] = sum over x of e_q(a x + b xbar)
-    t.setflags(write=False)
-    return t
+    w = np.zeros(q, dtype=complex)
+    w[unit_residues(q)] = np.exp(2j * np.pi * unit_inverses(q) / q)
+    k = q * np.fft.ifft(w)
+    k.setflags(write=False)
+    return k
 
 
 def primes_in_dyadic(Q: int, exclude: int) -> tuple[int, ...]:

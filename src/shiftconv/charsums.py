@@ -118,9 +118,9 @@ def char_sum_S(p: SCharParams) -> complex:
     qm = q // p.m1
     a = unit_residues(q)
     ab = unit_inverses(q)
-    outer = _eq_pow(q, p.h * a - p.n * ab)
-    kt = kloosterman_table(qm)
-    inner = kt[ab % qm, p.m2 % qm]
+    # residues first, so no int64 product can wrap
+    outer = _eq_pow(q, int(p.h) % q * a - int(p.n) % q * ab)
+    inner = kloosterman_table(qm)[ab * (int(p.m2) % qm) % qm]  # S(ab, m2; qm), ab a unit
     return complex(np.sum(outer * inner))
 
 
@@ -143,12 +143,15 @@ def char_sum_S_factored(
     """
     if q1 == q2 or not (is_prime(q1) and is_prime(q2)):
         raise InvalidDivisor(f"q1 and q2 must be distinct primes, got {q1} and {q2}")
-    if m1 < 1 or q1 * q2 % m1:
-        raise InvalidDivisor(f"m1={m1} does not divide q={q1 * q2}")
-    m2, n, h = (np.asarray(x) for x in (m2, n, h))
+    q = q1 * q2
+    m1 = as_index(m1, "m1")
+    if m1 < 1 or q % m1:
+        raise InvalidDivisor(f"m1={m1} does not divide q={q}")
+    m2, n, h = (np.asarray(x % q if type(x) is int else x) for x in (m2, n, h))
     if any(x.dtype.kind not in "iu" for x in (m2, n, h)):
         raise OutOfRange(f"m2, n and h must be integers, got dtypes {m2.dtype}, {n.dtype}, {h.dtype}")
-    m2, n, h = (x.astype(np.int64, copy=False) for x in (m2, n, h))
+    # reduced mod q in their own dtype, so a uint64 cannot wrap in the cast
+    m2, n, h = ((x % q).astype(np.int64, copy=False) for x in (m2, n, h))
     val = np.ones(np.broadcast_shapes(m2.shape, n.shape, h.shape), dtype=complex)
     val = val * _prime_factor(q1, q2, m1, m2, n, h) * _prime_factor(q2, q1, m1, m2, n, h)
     return complex(val) if val.ndim == 0 else val
@@ -157,16 +160,21 @@ def char_sum_S_factored(
 def _prime_factor(p, c, m1, m2, n, h):
     """The factor of S at the prime p with cofactor c, on int64 arrays."""
     cb = pow(c, -1, p)
-    kt = kloosterman_table(p)
     # residues mod p first, so no int64 product can wrap
     hr, nr = cb * (h % p) % p, -cb * (n % p) % p
     if m1 % p == 0:
-        return kt[hr, nr]
+        return _kloosterman(p, hr, nr)
     m2_eff = cb * cb * (m2 % p) % p if m1 == 1 else m2 % p
     b, bb = unit_residues(p), unit_inverses(p)
     phases = _eq_pow(p, hr[..., None] * b + nr[..., None] * bb)
     # contract b without materialising the broadcast product
-    return np.einsum("...b,...b->...", phases, kt[bb, m2_eff[..., None]])
+    return np.einsum("...b,...b->...", phases, _kloosterman(p, bb, m2_eff[..., None]))
+
+
+def _kloosterman(p, a, b):
+    """S(a, b; p) at the prime p for residues a, b mod p: K[a b] from the row
+    (K[0] = -1 covers exactly one of a, b being 0), and p - 1 at (0, 0)."""
+    return np.where((a == 0) & (b == 0), p - 1, kloosterman_table(p)[a * b % p])
 
 
 @lru_cache(maxsize=1024)
@@ -246,8 +254,7 @@ def t1_closed_form(p: TCharParams, which: str = "q1") -> complex:
         return 0.0 + 0.0j
     q2b = pow(p.q2.p, -1, pr)
     mb = pow(m % pr, -1, pr)
-    kt = kloosterman_table(pr)
-    return complex(pr * kt[(q2b * p.h) % pr, (-q2b * (p.n + other * mb)) % pr])
+    return complex(pr * _kloosterman(pr, q2b * int(p.h) % pr, -q2b * (int(p.n) + other * mb) % pr))
 
 
 def t2_sum(
@@ -262,6 +269,8 @@ def t2_sum(
                                           - q1tbar q1 gammabar inv(q1t delta + m))].
     """
     p1, pt, p2 = q1.p, q1t.p, q2.p
+    # residues first, so no int64 product can wrap
+    n, m, h = (as_index(v, name) % p2 for v, name in ((n, "n"), (m, "m"), (h, "h")))
     q1b = pow(p1, -1, p2)
     qtb = pow(pt, -1, p2)
     beta = unit_residues(p2)

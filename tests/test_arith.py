@@ -1,10 +1,11 @@
 """Unit tests for exact arithmetic, against independent brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_kloosterman, divisors, ramanujan_sum
@@ -24,8 +25,18 @@ def brute_ramanujan(q, n):
 
 
 def kl(a, b, q):
-    """S(a, b; q) read from the production table."""
-    return arith.kloosterman_table(q)[a % q, b % q]
+    """S(a, b; q) read from the production row as K[a b], for a a unit mod q."""
+    assert math.gcd(a, q) == 1
+    return arith.kloosterman_table(q)[a * b % q]
+
+
+def direct_kloosterman_grid(q):
+    """S(a, b; q) at every (a, b) mod q: the sum over the units x of
+    e_q(a x) e_q(b xbar) as a product of two q x phi(q) matrices."""
+    x = np.array([v for v in range(q) if math.gcd(v, q) == 1])
+    xb = np.array([pow(int(v), -1, q) for v in x])
+    r = np.arange(q)[:, None]
+    return np.exp(2j * np.pi * (r * x % q) / q) @ np.exp(2j * np.pi * (r * xb % q) / q).T
 
 
 def brute_is_prime(p):
@@ -103,18 +114,21 @@ class TestKloosterman:
 
     @given(st.integers(2, 80), st.integers(0, 80))
     @settings(max_examples=60)
-    def test_degenerates_to_ramanujan(self, q, b):
-        assert abs(kl(0, b, q) - ramanujan_sum(q, b)) < 1e-9
+    def test_degenerates_to_ramanujan(self, q, a):
+        # S(a, 0; q) = c_q(a); the row reads it for a unit a
+        assume(math.gcd(a, q) == 1)
+        assert abs(kl(a, 0, q) - ramanujan_sum(q, a)) < 1e-9
 
     @given(st.integers(1, 60), st.integers(0, 60), st.integers(0, 60))
     @settings(max_examples=80)
     def test_symmetry(self, q, a, b):
-        assert abs(kl(a, b, q) - kl(b, a, q)) < 1e-9
+        # the row read at (a, b) is the direct sum at (b, a)
+        assume(math.gcd(a, q) == 1)
+        assert abs(kl(a, b, q) - brute_kloosterman(b, a, q)) < 1e-9
 
-    @given(st.integers(1, 60), st.integers(0, 60), st.integers(0, 60))
-    @settings(max_examples=80)
-    def test_real_valued(self, q, a, b):
-        assert abs(kl(a, b, q).imag) < 1e-9
+    def test_real_valued(self):
+        for q in range(1, 61):
+            assert np.abs(arith.kloosterman_table(q).imag).max() < 1e-9
 
     def test_multiplicativity(self):
         # S(a,b;q1 q2) = S(a q2bar^2, b; q1) S(a q1bar^2, b; q2), (q1,q2)=1
@@ -124,7 +138,8 @@ class TestKloosterman:
             if q1 * q2 > 1000:
                 continue
             for _ in range(4):
-                a, b = map(int, rng.integers(0, q1 * q2, 2))
+                a = int(rng.choice(arith.unit_residues(q1 * q2)))
+                b = int(rng.integers(0, q1 * q2))
                 lhs = kl(a, b, q1 * q2)
                 r1 = kl(a * pow(q2, -2, q1), b, q1)
                 r2 = kl(a * pow(q1, -2, q2), b, q2)
@@ -132,23 +147,47 @@ class TestKloosterman:
 
     def test_table_matches_scalar(self):
         for q in (1, 5, 12, 15):
-            t = arith.kloosterman_table(q)
-            for a in (0, 1, q - 1):
+            for a in (1, q - 1):
                 for b in (0, 2):
-                    assert abs(t[a % q, b % q] - brute_kloosterman(a, b, q)) < 1e-10
+                    assert abs(kl(a, b, q) - brute_kloosterman(a, b, q)) < 1e-10
 
     def test_table_matches_brute_force_at_211(self):
         q = 211
-        t = arith.kloosterman_table(q)
-        for a, b in np.random.default_rng(211).integers(0, q, (12, 2)):
-            assert abs(t[a, b] - brute_kloosterman(int(a), int(b), q)) < 1e-9
+        for a, b in np.random.default_rng(211).integers(1, q, (12, 2)):
+            assert abs(kl(int(a), int(b), q) - brute_kloosterman(int(a), int(b), q)) < 1e-9
+
+    @pytest.mark.parametrize("q", [1, 5, 12, 15, 211])
+    def test_row_is_every_sum_with_a_unit(self, q):
+        # K[a b] = S(a, b; q) at every (a, b) with a a unit; term by term
+        # below q = 211, and there (44,310 pairs) by the matrix sum, with
+        # K[c] = S(1, c; q) term by term at every c
+        row = arith.kloosterman_table(q)
+        assert row.shape == (q,)
+        units = arith.unit_residues(q)
+        got = row[units[:, None] * np.arange(q) % q]
+        if q < 211:
+            want = [[brute_kloosterman(int(a), b, q) for b in range(q)] for a in units]
+        else:
+            assert np.abs(row - [brute_kloosterman(1, c, q) for c in range(q)]).max() < 1e-9
+            want = direct_kloosterman_grid(q)[units]
+        assert np.abs(got - want).max() < 1e-9
+
+    def test_row_memory_is_linear(self):
+        # the q x q table it replaced peaked at 40.7 MB here
+        arith.unit_inverses(1009)
+        tracemalloc.start()
+        try:
+            arith.kloosterman_table.__wrapped__(1009)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_weil_bound_small(self):
+        # |S(a, b; p)| <= 2 sqrt(p) for a, b units: K at the units
         for p in (3, 5, 7, 11, 13):
-            t = arith.kloosterman_table(p)
-            units = arith.unit_residues(p)
-            sub = np.abs(t[np.ix_(units, units)])
-            assert sub.max() <= 2.0 * np.sqrt(p) + 1e-9
+            row = arith.kloosterman_table(p)
+            assert np.abs(row[arith.unit_residues(p)]).max() <= 2.0 * np.sqrt(p) + 1e-9
 
 
 @pytest.mark.parametrize("table", [arith.unit_residues, arith.unit_inverses, arith.kloosterman_table])

@@ -77,6 +77,26 @@ class TestSCharSum:
             got = cs.char_sum_S(cs.SCharParams(q, 7, n, h, q))
             assert abs(got - brute_kloosterman(h, -n, q)) < 1e-9
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_kloosterman_every_pair_at_a_prime(self, p):
+        # K[a b] off (0, 0), where S(0, 0; p) = p - 1
+        got = cs._kloosterman(p, np.arange(p)[:, None], np.arange(p))
+        want = [[brute_kloosterman(a, b, p) for b in range(p)] for a in range(p)]
+        assert np.abs(got - want).max() < 1e-9
+        assert got[0, 0] == p - 1
+
+    @pytest.mark.parametrize(
+        "big", [2 ** 62 + 1, 2 ** 63 + 5, 2 ** 70 + 3, -(2 ** 70)], ids=["2_62", "2_63", "2_70", "minus_2_70"]
+    )
+    def test_direct_sum_reduces_before_multiplying(self, big):
+        # int64 products of an unreduced h, n or m2 wrapped below 2^63 and
+        # overflowed above it
+        q = 35
+        for m1, m2, n, h in [(1, 3, 2, big), (1, 3, big, 4), (5, big, 2, 4), (1, big, 2, 4)]:
+            got = cs.char_sum_S(cs.SCharParams(m1, m2, n, h, q))
+            assert got == cs.char_sum_S(cs.SCharParams(m1, m2 % q, n % q, h % q, q))
+            assert abs(got - cs.char_sum_S_factored(m1, m2 % q, n % q, h % q, 5, 7)) < 1e-9 * q
+
     def test_invalid_divisor(self):
         with pytest.raises(InvalidDivisor):
             cs.SCharParams(4, 1, 1, 1, 15)
@@ -226,6 +246,29 @@ class TestSFactoredArrays:
                 m2, n, h = (int(v) % 15 for v in (big[j], big[i], big[::-1][j]))
                 assert abs(got[i, j] - cs.char_sum_S(cs.SCharParams(m1, m2, n, h, 15))) < 1e-9 * 15
 
+    @pytest.mark.parametrize(
+        "big",
+        [
+            np.uint64(2 ** 63 + 5),
+            np.array([2 ** 64 - 1, 2 ** 63], dtype=np.uint64),
+            2 ** 63 + 5,
+            2 ** 70 + 3,
+            -(2 ** 70),
+        ],
+        ids=["uint64", "uint64_array", "2_63", "2_70", "minus_2_70"],
+    )
+    def test_arguments_past_int64_reduce_first(self, big):
+        # a uint64 past 2^63 wrapped in the int64 cast, and a Python int past
+        # 2^63 was refused as an object array
+        q = 35
+        small = big % q if isinstance(big, int) else (big % q).astype(np.int64)
+        for m1 in (1, 5, 7, q):
+            for slot in range(3):
+                args, reduced = [2, 3, 4], [2, 3, 4]
+                args[slot], reduced[slot] = big, small
+                got = cs.char_sum_S_factored(m1, *args, 5, 7)
+                assert np.array_equal(got, cs.char_sum_S_factored(m1, *reduced, 5, 7))
+
     def test_scalar_call_returns_complex(self):
         for m1 in (1, 3, 5, 15):
             assert type(cs.char_sum_S_factored(m1, 2, 1, 4, 3, 5)) is complex
@@ -236,7 +279,7 @@ class TestSFactoredArrays:
         n = np.arange(1, 25)[:, None, None]
         h = np.arange(1, 25)[:, None]
         m2 = np.arange(1, 25)
-        cs.char_sum_S_factored(1, m2, n, h, 97, 101)  # warm the Kloosterman tables
+        cs.char_sum_S_factored(1, m2, n, h, 97, 101)  # warm the Kloosterman rows
         tracemalloc.start()
         try:
             cs.char_sum_S_factored(1, m2, n, h, 97, 101)
@@ -283,7 +326,7 @@ def unit_sum_q2(m2, n, h, q1, q2):
     """
     assert q1 in (2, 3)
     q2b = pow(q2, -1, q1)
-    k1 = kloosterman_table(q1)[q2b * h % q1, -q2b * n % q1]
+    k1 = cs._kloosterman(q1, q2b * h % q1, -q2b * n % q1)
     return cs.char_sum_S_factored(q1, m2, n, h, q1, q2) / k1
 
 
@@ -552,12 +595,29 @@ class TestClosedForms:
         b = cs.t1_closed_form(tparams(1, 1, 2 + 3, 3, 5, 7), "q1")
         assert abs(a - b) < 1e-9
 
+    @pytest.mark.parametrize(
+        "big", [np.uint64(2 ** 63 + 5), 2 ** 70 + 3, -(2 ** 70)], ids=["uint64", "2_70", "minus_2_70"]
+    )
+    def test_t1_takes_any_integer_n_and_h(self, big):
+        # a uint64 n raised OverflowError in -q2bar * n
+        for n, h in [(big, 2), (1, big)]:
+            for which in ("q1", "q1t"):
+                got = cs.t1_closed_form(tparams(n, 2, h, 3, 5, 7), which)
+                assert got == cs.t1_closed_form(tparams(int(n) % 105, 2, int(h) % 105, 3, 5, 7), which)
+
     def test_t1_matches_crt_factor(self):
         # extract the q1 factor by dividing T by the other two factors
         p = tparams(1, 1, 1, 3, 5, 7)
         direct = cs.char_sum_T(p)
         others = cs.t1_closed_form(p, "q1t") * cs.t2_sum(p.n, p.m, p.h, p.q1, p.q1t, p.q2)
         assert abs(direct / others - cs.t1_closed_form(p, "q1")) < 1e-6
+
+    @pytest.mark.parametrize("big", [2 ** 62 + 3, 2 ** 63 + 5, -(2 ** 70)], ids=["2_62", "2_63", "minus_2_70"])
+    def test_t2_reduces_before_multiplying(self, big):
+        # an unreduced n, m or h wrapped or overflowed in the int64 phases
+        for n, m, h in [(1, 2, big), (big, 2, 3), (1, big, 3)]:
+            got = cs.t2_sum(n, m, h, P(3), P(5), P(7))
+            assert got == cs.t2_sum(n % 7, m % 7, h % 7, P(3), P(5), P(7))
 
     def test_t2_weil_ceiling(self):
         # |T2| <= q2^3 always; <= 4 q2^{5/2} off the degenerate locus

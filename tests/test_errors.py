@@ -50,6 +50,8 @@ def _approximant(delta):
         ),
         (lambda: charsums.char_sum_S_factored(1, 2.5, 1, 1, 3, 5), OutOfRange),
         (lambda: charsums.char_sum_S_factored(1, 2, np.array([1.0, 2.0]), 1, 3, 5), OutOfRange),
+        (lambda: charsums.char_sum_S_factored(5.0, 1, 1, 1, 5, 7), OutOfRange),
+        (lambda: charsums.t2_sum(1, 2, 1.5, P(3), P(5), P(7)), OutOfRange),
         (lambda: charsums.SCharParams(1, 2.5, 1, 1, 15), OutOfRange),
         (lambda: charsums.TCharParams(n=1.5, m=1, h=1, q1=P(3), q1t=P(5), q2=P(7)), OutOfRange),
         (
@@ -100,6 +102,8 @@ def _approximant(delta):
         "report_block_lengths_differ",
         "s_factored_m2_not_integer",
         "s_factored_n_float_array",
+        "s_factored_m1_not_integer",
+        "t2_sum_h_not_integer",
         "s_params_m2_not_integer",
         "t_params_n_not_integer",
         "t_census_n_not_integer",
