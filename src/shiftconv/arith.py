@@ -6,8 +6,8 @@ Conventions (q = 1 throughout means the empty product):
     S(a,b;q) = sum over units x mod q of e_q(a x + b xbar),  S(a,b;1) = 1
     K[c]     = S(1, c; q), the Kloosterman row; S(a, b; q) = K[a b] for a unit a
 
-Everything here is pure and reentrant; cached tables are built once and
-read-only afterwards.
+Everything here is pure and reentrant; cached tables are built once and are
+read-only; the caches are typed, so a float q never reads an integer's entry.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ class PrimeModulus:
             raise InvalidDivisor(f"{self.p} is not prime")
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def unit_residues(q: int) -> np.ndarray:
     """The units mod q, ascending; [0] for q = 1, as gcd(0, 1) = 1."""
+    q = as_index(q, "q")
     if q < 1:
         raise OutOfRange(f"need q >= 1, got {q}")
     r = np.arange(q, dtype=np.int64)
@@ -80,15 +81,16 @@ def unit_residues(q: int) -> np.ndarray:
     return u
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)
 def unit_inverses(q: int) -> np.ndarray:
     """Inverses of unit_residues(q), in matching order."""
+    q = as_index(q, "q")
     ub = np.array([pow(int(a), -1, q) for a in unit_residues(q)], dtype=np.int64)
     ub.setflags(write=False)
     return ub
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def kloosterman_table(q: int) -> np.ndarray:
     """The row K[c] = S(1, c; q), c mod q, as a length-q complex vector.
 
@@ -97,6 +99,7 @@ def kloosterman_table(q: int) -> np.ndarray:
     K[c] = sum over units y of e_q(ybar) e_q(c y): the DFT of w[y] = e_q(ybar)
     at the units, so K = q ifft(w); cost O(q log q), memory O(q).
     """
+    q = as_index(q, "q")
     w = np.zeros(q, dtype=complex)
     w[unit_residues(q)] = np.exp(2j * np.pi * unit_inverses(q) / q)
     k = q * np.fft.ifft(w)

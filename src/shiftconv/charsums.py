@@ -295,12 +295,13 @@ def t2_sum(
 
 @dataclass(frozen=True)
 class SCensusFamily:
-    """Sweep of S over pairs of distinct primes and small (m2, n, h) boxes.
+    """Sweep of S over unordered pairs of distinct primes, each q once, and
+    small (m2, n, h) boxes.
 
     m1 runs over all divisors {1, q1, q2, q1 q2}; tuples with gcd(n h, q) > 1
     are skipped (the bound is stated for n, h coprime to q).  A non-integer
-    count or prime raises OutOfRange, a composite prime InvalidDivisor; the
-    fields are stored as given.
+    count or prime raises OutOfRange, a composite or repeated prime
+    InvalidDivisor; the fields are stored as given.
     """
 
     primes: tuple
@@ -311,8 +312,7 @@ class SCensusFamily:
     def __post_init__(self):
         for name in ("m2_max", "n_max", "h_max"):
             as_index(getattr(self, name), name)
-        for q in self.primes:
-            PrimeModulus(q)
+        _check_primes("primes", self.primes)
 
 
 @dataclass(frozen=True)
@@ -334,12 +334,13 @@ class TCensusFamily:
         for name in ("n_values", "h_values"):
             for v in getattr(self, name):
                 as_index(v, name)
-        for q in (*self.q1_primes, *self.q2_primes):
-            PrimeModulus(q)
+        for name in ("q1_primes", "q2_primes"):
+            _check_primes(name, getattr(self, name))
 
 
-def _s_normalizer(q, m1, m2):
-    return q / math.sqrt(m1) * math.sqrt(math.gcd(q // m1, m2))
+def _check_primes(name, primes):
+    if len({PrimeModulus(q).p for q in primes}) < len(primes):
+        raise InvalidDivisor(f"{name} repeats a prime: {tuple(primes)}")
 
 
 def bound_census(family) -> ExperimentReport:
@@ -362,26 +363,20 @@ def _census_s(family: SCensusFamily) -> ExperimentReport:
     cols = ["q1", "q2", "m1", "m2", "n", "h", "abs_sum", "normalizer", "ratio"]
     rep = ExperimentReport(cols, {"family": "S", **family.__dict__})
     t0 = time.perf_counter()
-    m2s = np.array(range(1, family.m2_max + 1), dtype=np.int64)
-    for q1 in family.primes:
-        for q2 in family.primes:
-            if q1 == q2:
-                continue
-            q = q1 * q2
-            ns = np.array([n for n in range(1, family.n_max + 1) if math.gcd(n, q) == 1], dtype=np.int64)
-            hs = np.array([h for h in range(1, family.h_max + 1) if math.gcd(h, q) == 1], dtype=np.int64)
-            n_ax, h_ax = ns.reshape(-1, 1, 1), hs.reshape(-1, 1)
-            # one block per m1 on axes (n, h, m2), flattened in record order
-            n, h, m2 = (g.ravel() for g in np.meshgrid(ns, hs, m2s, indexing="ij"))
-            for m1 in (1, q1, q2, q):
-                block = np.abs(char_sum_S_factored(m1, m2s, n_ax, h_ax, q1, q2))
-                norm = np.broadcast_to([_s_normalizer(q, m1, v) for v in m2s], block.shape).ravel()
-                abs_sum = block.ravel()
-                rep.add(
-                    q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h,
-                    abs_sum=abs_sum, normalizer=norm, ratio=abs_sum / norm,
-                )
-            log.debug("S census (q1, q2) = (%d, %d): %d rows, %.3f s", q1, q2, len(rep), time.perf_counter() - t0)
+    m2s, n_box, h_box = (np.arange(1, k + 1, dtype=np.int64) for k in (family.m2_max, family.n_max, family.h_max))
+    for q1, q2 in itertools.combinations(family.primes, 2):
+        q = q1 * q2
+        ns, hs = n_box[np.gcd(n_box, q) == 1], h_box[np.gcd(h_box, q) == 1]
+        # one block per m1 on axes (n, h, m2), flattened in record order
+        n, h, m2 = (g.ravel() for g in np.meshgrid(ns, hs, m2s, indexing="ij"))
+        for m1 in (1, q1, q2, q):
+            abs_sum = np.abs(char_sum_S_factored(m1, m2s, ns[:, None, None], hs[:, None], q1, q2)).ravel()
+            norm = np.tile(q / math.sqrt(m1) * np.sqrt(np.gcd(q // m1, m2s)), len(ns) * len(hs))
+            rep.add(
+                q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h,
+                abs_sum=abs_sum, normalizer=norm, ratio=abs_sum / norm,
+            )
+        log.debug("S census (q1, q2) = (%d, %d): %d rows, %.3f s", q1, q2, len(rep), time.perf_counter() - t0)
     return rep.finalize()
 
 

@@ -210,6 +210,8 @@ def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 
     counts make the density |Q| >> Q^(1-eps) unattainable, so it is reported
     rather than enforced.
     """
+    if not (math.isfinite(n_max_factor) and n_max_factor > 0):
+        raise OutOfRange(f"n_max_factor must be finite and positive, got {n_max_factor!r}")
     cols = ["Q1", "Q2", "delta", "L", "density", "error", "bound", "ratio"]
     rep = ExperimentReport(
         cols,

@@ -133,6 +133,7 @@ class GL2CoefficientTable:
 
 def build_gl2_table(k: int, N: int) -> GL2CoefficientTable:
     """Coefficient table of the weight-12 form; other weights are not wired."""
+    k = as_index(k, "k")
     if k != 12:
         raise UnsupportedWeight(f"weight {k} not supported (only 12)")
     N = as_index(N, "N")

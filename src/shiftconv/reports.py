@@ -100,11 +100,9 @@ class ExperimentReport:
         return self._records
 
     def finalize(self, **extra) -> "ExperimentReport":
-        rs = self._column("ratio") if "ratio" in self.columns else []
-        if rs:
-            srt = sorted(rs)
-            self.summary["max_ratio"] = max(rs)
-            self.summary["median_ratio"] = srt[len(srt) // 2]
+        rs = np.sort(self._column("ratio") if "ratio" in self.columns else [])
+        if rs.size:
+            self.summary.update(max_ratio=rs[-1].item(), median_ratio=rs[rs.size // 2].item())
         self.summary["n_records"] = len(self)
         self.summary.update(extra)
         return self

@@ -198,6 +198,12 @@ def test_cached_tables_are_read_only(table):
         t += 0
 
 
+@pytest.mark.parametrize("table", [arith.unit_residues, arith.unit_inverses, arith.kloosterman_table])
+def test_cached_tables_take_numpy_integers(table):
+    # pow(a, -1, np.int64(q)) raised TypeError inside unit_inverses
+    assert np.array_equal(table(np.int64(11)), table(11))
+
+
 class TestPrimesInDyadic:
     def test_sieve_examples(self):
         assert arith.primes_in_dyadic(10, 1) == (11, 13, 17, 19)

@@ -75,6 +75,19 @@ def _approximant(delta):
         (lambda: arith.primes_in_dyadic(10.5, 1), OutOfRange),
         (lambda: arith.primes_in_dyadic(10, 1.0), OutOfRange),
         (lambda: circle.build_moduli_set(3, 11.0, 1), OutOfRange),
+        (lambda: arith.unit_residues(7.0), OutOfRange),
+        (lambda: arith.unit_inverses(7.0), OutOfRange),
+        (lambda: arith.kloosterman_table(2.5), OutOfRange),
+        # an untyped cache would answer 7.0 from the entry for np.int64(7)
+        (lambda: (arith.kloosterman_table(np.int64(7)), arith.kloosterman_table(7.0)), OutOfRange),
+        (lambda: coeffs.build_gl2_table(12.0, 10), OutOfRange),
+        (lambda: circle.l2_error_census([(3, 11)], [-1.0], n_max_factor=float("nan")), OutOfRange),
+        (lambda: circle.l2_error_census([(3, 11)], [-1.0], n_max_factor=float("inf")), OutOfRange),
+        (lambda: circle.l2_error_census([(3, 11)], [-1.0], n_max_factor=0.0), OutOfRange),
+        (lambda: circle.l2_error_census([(3, 11)], [-1.0], n_max_factor=-50), OutOfRange),
+        (lambda: charsums.SCensusFamily(primes=(5, 5, 7)), InvalidDivisor),
+        (lambda: charsums.TCensusFamily(q1_primes=(5, 5, 7), q2_primes=(11,)), InvalidDivisor),
+        (lambda: charsums.TCensusFamily(q1_primes=(3, 5), q2_primes=(7, 11, 7)), InvalidDivisor),
     ],
     ids=[
         "weight12_N_below_1",
@@ -122,6 +135,18 @@ def _approximant(delta):
         "primes_in_dyadic_Q_not_integer",
         "primes_in_dyadic_exclude_not_integer",
         "build_moduli_set_Q2_not_integer",
+        "unit_residues_q_not_integer",
+        "unit_inverses_q_not_integer",
+        "kloosterman_table_q_not_integer",
+        "kloosterman_table_q_float_after_numpy_int",
+        "gl2_table_k_not_integer",
+        "l2_census_n_max_factor_nan",
+        "l2_census_n_max_factor_inf",
+        "l2_census_n_max_factor_zero",
+        "l2_census_n_max_factor_negative",
+        "s_family_prime_repeated",
+        "t_family_q1_prime_repeated",
+        "t_family_q2_prime_repeated",
     ],
 )
 def test_bad_input_raises_package_error(call, error):
