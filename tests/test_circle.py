@@ -44,6 +44,27 @@ def oracle_tail(A, n_max):
     return tail * 2.0 * (1.0 / (2.0 * np.pi * A.delta * A.moduli.L)) ** 2
 
 
+def row_loop_tail(A, n_max):
+    """The tail majorant of l2_error as one lcm row of divisor values at a
+    time, in the order of d: the summation order l2_error keeps, so its
+    tail_bound must equal this bit for bit."""
+    d, mult = np.unique(np.insert(np.array(A.moduli.members), 0, 1, axis=1), return_counts=True)
+    w = (d * mult).astype(float)
+    tail = 0.0
+    for di, wi in zip(d, w):
+        lcm = (di // np.gcd(di, d)) * d.astype(float)
+        tail += wi * float(np.sum(w * circle._multiples_tail(n_max, lcm)))
+    return tail * 2.0 * (1.0 / (2.0 * np.pi * A.delta * A.moduli.L)) ** 2
+
+
+def sinc_partial(A, n_max):
+    """The partial sum of l2_error in one pass over every n <= n_max, each
+    a_n with np.sinc."""
+    ns = np.arange(1, n_max + 1)
+    an = circle._ramanujan_rows(A.moduli, 1, n_max) / A.moduli.L * np.sinc(2.0 * ns * A.delta)
+    return 2.0 * float(np.sum(an * an))
+
+
 class TestModuliSet:
     def test_example(self, small_set):
         q1s = sorted({m[0] for m in small_set.members})
@@ -212,6 +233,30 @@ class TestL2Error:
         n_max = int(500 / A.delta)
         assert circle.l2_error(A, n_max).tail_bound == pytest.approx(oracle_tail(A, n_max), rel=1e-12)
 
+    @pytest.mark.parametrize("Q1,Q2", [(30, 200), (3, 11), (5, 23), (10, 60)])
+    def test_tail_equals_row_loop(self, Q1, Q2):
+        ms = circle.build_moduli_set(Q1, Q2, 1)
+        A = circle.Approximant(moduli=ms, delta=1.0 / ms.max_modulus)
+        n_max = int(50 / A.delta)
+        assert circle.l2_error(A, n_max).tail_bound == row_loop_tail(A, n_max)
+
+    # n_max below one window, at two full windows and one past them; at
+    # delta = Q^-1.5 the period 1/delta of the sine is not an integer, so
+    # no window starts at the same phase
+    @pytest.mark.parametrize("e", [-1.0, -1.5])
+    @pytest.mark.parametrize("n_max", [20000, 2 * circle._L2_CHUNK, 2 * circle._L2_CHUNK + 1])
+    @pytest.mark.parametrize("Q1,Q2", [(3, 11), (5, 23)])
+    def test_partial_matches_sinc(self, Q1, Q2, e, n_max):
+        ms = circle.build_moduli_set(Q1, Q2, 1)
+        A = circle.Approximant(moduli=ms, delta=float(ms.max_modulus) ** e)
+        assert e == -1.0 or 1.0 / A.delta != int(1.0 / A.delta)
+        assert circle.l2_error(A, n_max).partial == pytest.approx(sinc_partial(A, n_max), rel=1e-13)
+
+    def test_fields_are_python_floats(self, small_set):
+        A = circle.Approximant(moduli=small_set, delta=1.0 / small_set.max_modulus)
+        est = circle.l2_error(A, 20000)
+        assert type(est.partial) is float and type(est.tail_bound) is float
+
     def test_rows_match_ramanujan_sums(self, small_set):
         ns = np.arange(-200, 2001)
         want = [sum(ramanujan_sum(q, int(n)) for _, _, q in small_set.members) for n in ns]
@@ -242,17 +287,29 @@ class TestL2Error:
         want = 2.0 * float(np.sum(an * an))
         assert circle.l2_error(A, n_max).partial == pytest.approx(want, rel=1e-12)
 
-    def test_memory_is_chunk_sized(self):
-        # the benchmark's set: 224 members, n_max = 1.2e6 in 2^16-n chunks
+    @staticmethod
+    def l2_peak(n_max):
+        """tracemalloc peak of l2_error on the benchmark's set: 224 members,
+        264 distinct divisor values, delta = 1/24000."""
         ms = circle.build_moduli_set(30, 200, 1)
         A = circle.Approximant(moduli=ms, delta=1.0 / ms.max_modulus)
         tracemalloc.start()
         try:
-            circle.l2_error(A, 1_200_000)
-            peak = tracemalloc.get_traced_memory()[1]
+            circle.l2_error(A, n_max)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8_000_000
+
+    def test_memory_is_chunk_sized(self):
+        # n_max = 1.2e6 in 2^16-n chunks: at most 8 float arrays of one
+        # window are alive at once, the tail included
+        assert self.l2_peak(1_200_000) < 8 * 8 * circle._L2_CHUNK
+
+    def test_tail_memory_is_blocked(self):
+        # one window of 24,001 n: a whole 264 x 264 lcm matrix (2.9 MB
+        # peak) would outgrow 8 arrays of the window, blocks of rows do not
+        n_max = 24_001
+        assert self.l2_peak(n_max) < 8 * 8 * n_max
 
     def test_matches_grid_quadrature(self, small_set):
         Q = small_set.max_modulus

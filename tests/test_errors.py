@@ -85,6 +85,13 @@ def _approximant(delta):
         (lambda: circle.l2_error_census([(3, 11)], [-1.0], n_max_factor=float("inf")), OutOfRange),
         (lambda: circle.l2_error_census([(3, 11)], [-1.0], n_max_factor=0.0), OutOfRange),
         (lambda: circle.l2_error_census([(3, 11)], [-1.0], n_max_factor=-50), OutOfRange),
+        (lambda: circle.quadrature_l2_error(_approximant(1.0 / 132), 0), OutOfRange),
+        (lambda: circle.quadrature_l2_error(_approximant(1.0 / 132), -1e-3), OutOfRange),
+        (lambda: circle.quadrature_l2_error(_approximant(1.0 / 132), float("inf")), OutOfRange),
+        (lambda: circle.quadrature_l2_error(_approximant(1.0 / 132), float("nan")), OutOfRange),
+        (lambda: circle.approximant_eval(_approximant(1.0 / 132), float("nan")), OutOfRange),
+        (lambda: circle.approximant_eval(_approximant(1.0 / 132), float("-inf")), OutOfRange),
+        (lambda: circle.approximant_eval(_approximant(1.0 / 132), np.array([0.25, np.nan])), OutOfRange),
         (lambda: charsums.SCensusFamily(primes=(5, 5, 7)), InvalidDivisor),
         (lambda: charsums.TCensusFamily(q1_primes=(5, 5, 7), q2_primes=(11,)), InvalidDivisor),
         (lambda: charsums.TCensusFamily(q1_primes=(3, 5), q2_primes=(7, 11, 7)), InvalidDivisor),
@@ -144,6 +151,13 @@ def _approximant(delta):
         "l2_census_n_max_factor_inf",
         "l2_census_n_max_factor_zero",
         "l2_census_n_max_factor_negative",
+        "quadrature_step_zero",
+        "quadrature_step_negative",
+        "quadrature_step_inf",
+        "quadrature_step_nan",
+        "approximant_eval_x_nan",
+        "approximant_eval_x_inf",
+        "approximant_eval_x_array_with_nan",
         "s_family_prime_repeated",
         "t_family_q1_prime_repeated",
         "t_family_q2_prime_repeated",
