@@ -30,6 +30,10 @@ Each sum has one evaluator per use:
     char_sum_S_factored   per-prime product for q = q1 q2, taking arrays
                           in m2, n and h (at m1 = q1 it is the Kloosterman
                           factor times the two-variable unit sum mod q2);
+                          a prime factor with p not dividing m1 is one
+                          scatter of the Kloosterman row and one length-p
+                          inverse FFT per (n, h), read at every m2, so a
+                          whole row in m2 costs O(p) memory;
                           the S census calls it once per (q1, q2, m1)
                           block on its whole (n, h, m2) grid and appends
                           the block to its report as columns, one array
@@ -158,17 +162,33 @@ def char_sum_S_factored(
 
 
 def _prime_factor(p, c, m1, m2, n, h):
-    """The factor of S at the prime p with cofactor c, on int64 arrays."""
+    """The factor of S at the prime p with cofactor c, on int64 arrays.
+
+    With hr = cbar h and nr = -cbar n, the factor is S(hr, nr; p) when p | m1,
+    and otherwise
+
+        F(m) = sum over units b of e_p(hr b + nr bbar) S(bbar, m; p),
+
+    at m = cbar^2 m2 (m1 = 1) or m = m2 (m1 = c).  Writing out
+    S(bbar, m; p) = sum over units y of e_p(bbar y + m ybar) and summing b
+    first gives
+
+        F(m) = sum over units y of S(hr, nr + y; p) e_p(m ybar),
+
+    so with w[ybar] = S(hr, nr + y; p) (and w[0] = 0), F = p ifft(w) holds F
+    at every m mod p: one scatter of the Kloosterman row and one length-p
+    inverse FFT per (n, h), in O(p) memory each, read at each m.
+    """
     cb = pow(c, -1, p)
     # residues mod p first, so no int64 product can wrap
     hr, nr = cb * (h % p) % p, -cb * (n % p) % p
     if m1 % p == 0:
         return _kloosterman(p, hr, nr)
-    m2_eff = cb * cb * (m2 % p) % p if m1 == 1 else m2 % p
-    b, bb = unit_residues(p), unit_inverses(p)
-    phases = _eq_pow(p, hr[..., None] * b + nr[..., None] * bb)
-    # contract b without materialising the broadcast product
-    return np.einsum("...b,...b->...", phases, _kloosterman(p, bb, m2_eff[..., None]))
+    m = cb * cb % p * (m2 % p) % p if m1 == 1 else m2 % p
+    w = np.zeros(np.broadcast_shapes(hr.shape, nr.shape) + (p,), dtype=complex)
+    w[..., unit_inverses(p)] = _kloosterman(p, hr[..., None], (nr[..., None] + unit_residues(p)) % p)
+    # sparse (n, h) indices broadcast against m as the arguments did
+    return (p * np.fft.ifft(w))[(*np.indices(w.shape[:-1], sparse=True), m)]
 
 
 def _kloosterman(p, a, b):

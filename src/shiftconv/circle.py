@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -88,7 +89,7 @@ class Approximant:
 
     def __post_init__(self):
         Q = self.moduli.max_modulus
-        if not (Q ** -2.0 / 8.0 <= self.delta <= 8.0 / Q):
+        if not (isinstance(self.delta, numbers.Real) and Q ** -2.0 / 8.0 <= self.delta <= 8.0 / Q):
             raise OutOfRange(f"delta={self.delta} outside [Q^-2/8, 8/Q] for Q={Q}")
 
 
@@ -106,12 +107,13 @@ def approximant_eval(A: Approximant, x: float | np.ndarray) -> float | np.ndarra
     """Value of I~ at x, with circular interval membership.
 
     x may be a float (returns a float) or an array (returns an array of the
-    same shape, each entry equal to the scalar call).  Every x must be
-    finite."""
-    if not np.isfinite(x).all():
-        raise OutOfRange(f"x must be finite, got {x!r}")
-    vals = _interval_counts(A, x) / (2.0 * A.delta * A.moduli.L)
-    return float(vals) if np.ndim(x) == 0 else vals
+    same shape, each entry equal to the scalar call).  Every x must be real
+    (an int or float dtype) and finite."""
+    xs = np.asarray(x)
+    if xs.dtype.kind not in "iuf" or not np.isfinite(xs).all():
+        raise OutOfRange(f"x must be real and finite, got {x!r}")
+    vals = _interval_counts(A, xs) / (2.0 * A.delta * A.moduli.L)
+    return float(vals) if xs.ndim == 0 else vals
 
 
 def _ramanujan_rows(ms: ModuliSet, lo: int, count: int) -> np.ndarray:
@@ -220,11 +222,16 @@ def l2_error(A: Approximant, n_max: int) -> L2Error:
     return L2Error(partial=partial, tail_bound=tail, n_max=n_max)
 
 
+def _check_positive_real(value, name: str) -> None:
+    """OutOfRange unless value is a finite positive real number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise OutOfRange(f"{name} must be finite and positive, got {value!r}")
+
+
 def quadrature_l2_error(A: Approximant, step: float) -> float:
     """Midpoint-rule value of the integral of |1 - I~|^2 (independent oracle),
-    on ceil(1 / step) points; step must be finite and positive."""
-    if not (math.isfinite(step) and step > 0):
-        raise OutOfRange(f"step must be finite and positive, got {step!r}")
+    on ceil(1 / step) points; step must be a finite positive real."""
+    _check_positive_real(step, "step")
     m = int(np.ceil(1.0 / step))
     xs = (np.arange(m) + 0.5) / m
     vals = 1.0 - approximant_eval(A, xs)
@@ -239,8 +246,9 @@ def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 
     counts make the density |Q| >> Q^(1-eps) unattainable, so it is reported
     rather than enforced.
     """
-    if not (math.isfinite(n_max_factor) and n_max_factor > 0):
-        raise OutOfRange(f"n_max_factor must be finite and positive, got {n_max_factor!r}")
+    _check_positive_real(n_max_factor, "n_max_factor")
+    if not all(isinstance(e, numbers.Real) for e in delta_exponents):
+        raise OutOfRange(f"delta_exponents must be real numbers, got {delta_exponents!r}")
     cols = ["Q1", "Q2", "delta", "L", "density", "error", "bound", "ratio"]
     rep = ExperimentReport(
         cols,

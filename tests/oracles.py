@@ -1,14 +1,19 @@
 """Brute-force oracles and reference computations shared by the test modules.
 
-All are independent of shiftconv except direct_t, which checks T's CRT
+All are independent of shiftconv except two.  direct_t checks T's CRT
 reindexing and takes its S vectors from the package's S kernel.
+contraction_prime_factor, the reference for the FFT kernel of S's prime
+factors, is the phase-matrix contraction that kernel replaced; it reads
+the package's unit tables, phases and Kloosterman row, which test_arith
+checks against brute_kloosterman.
 """
 
 import math
 
 import numpy as np
 
-from shiftconv.charsums import char_sum_S_factored
+from shiftconv.arith import unit_inverses, unit_residues
+from shiftconv.charsums import _eq_pow, _kloosterman, char_sum_S_factored
 
 
 def divisors(n):
@@ -42,6 +47,24 @@ def brute_kloosterman(a, b, q):
             continue
         s += np.exp(2j * np.pi * ((a * x + b * pow(x, -1, q)) % q) / q)
     return s
+
+
+def contraction_prime_factor(p, c, m1, m2, n, h):
+    """The factor of S at the prime p with cofactor c, on int64 arrays, as
+    the b-sum of e_p(hr b + nr bbar) S(bbar, m2_eff; p) contracted over a
+    (..., p - 1) phase matrix: O(p) memory per (n, h, m2), p^2 for a whole
+    row of m2.  Its twist cb * cb * m2 is formed in int64 before reduction,
+    so it wraps for p above ~2.1 * 10^6; keep p far below that."""
+    cb = pow(c, -1, p)
+    # residues mod p first, so no int64 product can wrap
+    hr, nr = cb * (h % p) % p, -cb * (n % p) % p
+    if m1 % p == 0:
+        return _kloosterman(p, hr, nr)
+    m2_eff = cb * cb * (m2 % p) % p if m1 == 1 else m2 % p
+    b, bb = unit_residues(p), unit_inverses(p)
+    phases = _eq_pow(p, hr[..., None] * b + nr[..., None] * bb)
+    # contract b without materialising the broadcast product
+    return np.einsum("...b,...b->...", phases, _kloosterman(p, bb, m2_eff[..., None]))
 
 
 def direct_t(n, m, h, q1, q1t, q2):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_kloosterman, direct_t
+from oracles import brute_kloosterman, contraction_prime_factor, direct_t
 from shiftconv import charsums as cs
 from shiftconv.arith import PrimeModulus, factorize, kloosterman_table
 from shiftconv.errors import InvalidDivisor
@@ -274,7 +274,8 @@ class TestSFactoredArrays:
 
     def test_block_memory_is_linear_in_each_axis(self):
         # a (24, 24, 24) block at p ~ 100: the (n, h, m2, b) product would be
-        # 16 * 24^3 * 100 bytes ~ 22 MB; the contraction stores ~1 MB operands
+        # 16 * 24^3 * 100 bytes ~ 22 MB; each prime factor holds one length-p
+        # vector per (n, h), 16 * 24^2 * 101 bytes ~ 1 MB
         n = np.arange(1, 25)[:, None, None]
         h = np.arange(1, 25)[:, None]
         m2 = np.arange(1, 25)
@@ -394,6 +395,42 @@ def oracle_s_alpha(n, h, q, alphas):
     return np.array(
         [outer @ roots[(abx + alpha * inv[None, :]) % q].sum(axis=1) for alpha in alphas]
     )
+
+
+class TestPrimeFactorKernel:
+    """The FFT kernel of S's prime factors against the phase-matrix
+    contraction it replaced (oracles.contraction_prime_factor)."""
+
+    C = 7  # the cofactor prime, distinct from every p below
+
+    @pytest.mark.parametrize("p", [2, 3, 11, 101, 1009])
+    def test_matches_contraction(self, p):
+        q = p * self.C
+        # residues mod q, as char_sum_S_factored passes them, with n and h
+        # at 0 and at p (both 0 mod p) and m2 at multiples of p and of c;
+        # the second shape set gives m2 more axes than n and h
+        n = np.array([0, 1, p, 2 * p + 3, q - 1]) % q
+        h = np.array([0, p, 5, q - 2]) % q
+        m2 = np.array([0, 1, 2, p, self.C, 3 * p + 1, q - 1]) % q
+        for args in [(m2, n[:, None, None], h[:, None]), (m2[:6].reshape(2, 3), n[:3], h[2])]:
+            for m1 in (1, self.C, p, q):
+                got = cs._prime_factor(p, self.C, m1, *args)
+                want = contraction_prime_factor(p, self.C, m1, *args)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_alpha_row_memory_is_linear_in_p(self):
+        # the contraction held a p x (p - 1) phase matrix and gather: ~34 MB
+        p = 1009
+        kloosterman_table(p)  # builds and caches the unit tables too
+        cs._alpha_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            cs._alpha_factor(p, 1013, 3, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestAlphaTable:
