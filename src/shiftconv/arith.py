@@ -1,13 +1,13 @@
-"""Exact modular arithmetic and the Kloosterman row.
+"""Exact modular arithmetic, and the unit inverses and Kloosterman row mod a prime.
 
-Conventions (q = 1 throughout means the empty product):
+Conventions (q = 1 throughout means the empty product; p is a prime):
     e_q(x)   = exp(2 pi i x / q)
     phi(q)   = #units mod q, phi(1) = 1
     S(a,b;q) = sum over units x mod q of e_q(a x + b xbar),  S(a,b;1) = 1
-    K[c]     = S(1, c; q), the Kloosterman row; S(a, b; q) = K[a b] for a unit a
+    K[c]     = S(1, c; p), the Kloosterman row; S(a, b; p) = K[a b] for a unit a
 
-Everything here is pure and reentrant; cached tables are built once and are
-read-only; the caches are typed, so a float q never reads an integer's entry.
+Everything here is pure and reentrant; the tables exist only at a prime p and
+are cached, read-only and typed, so a float p never reads an integer's entry.
 """
 
 from __future__ import annotations
@@ -70,39 +70,39 @@ class PrimeModulus:
 
 
 @lru_cache(maxsize=4096, typed=True)
-def unit_residues(q: int) -> np.ndarray:
-    """The units mod q, ascending; [0] for q = 1, as gcd(0, 1) = 1."""
-    q = as_index(q, "q")
-    if q < 1:
-        raise OutOfRange(f"need q >= 1, got {q}")
-    r = np.arange(q, dtype=np.int64)
-    u = r[np.gcd(r, q) == 1]
-    u.setflags(write=False)
-    return u
-
-
-@lru_cache(maxsize=4096, typed=True)
-def unit_inverses(q: int) -> np.ndarray:
-    """Inverses of unit_residues(q), in matching order."""
-    q = as_index(q, "q")
-    ub = np.array([pow(int(a), -1, q) for a in unit_residues(q)], dtype=np.int64)
-    ub.setflags(write=False)
-    return ub
+def unit_inverses(p: int) -> np.ndarray:
+    """inv[a] = abar mod the prime p, and inv[0] = 0: a^(p-2) (Fermat) by
+    repeated squaring on arange(p), in log2(p) int64 steps.  p is checked
+    before anything is allocated: every product (p - 1)^2 must fit an int64,
+    and at p = 1 the exponent -1 would never shift to 0."""
+    p = as_index(p, "p")
+    if not 2 <= p <= 3_037_000_500:
+        raise OutOfRange(f"need a prime p in [2, 3037000500], got {p}")
+    PrimeModulus(p)  # InvalidDivisor for a composite
+    base, inv, e = np.arange(p, dtype=np.int64), np.ones(p, dtype=np.int64), p - 2
+    while e:
+        if e & 1:
+            inv = inv * base % p
+        base = base * base % p
+        e >>= 1
+    inv[0] = 0  # 0^0 = 1 at p = 2
+    inv.setflags(write=False)
+    return inv
 
 
 @lru_cache(maxsize=256, typed=True)
-def kloosterman_table(q: int) -> np.ndarray:
-    """The row K[c] = S(1, c; q), c mod q, as a length-q complex vector.
+def kloosterman_table(p: int) -> np.ndarray:
+    """The row K[c] = S(1, c; p), c mod the prime p, as a length-p complex vector.
 
-    For a unit a mod q, S(a, b; q) = K[a b mod q] (substitute x -> abar x),
+    For a unit a mod p, S(a, b; p) = K[a b mod p] (substitute x -> abar x),
     so the row holds every sum with one argument a unit.  With y = xbar,
-    K[c] = sum over units y of e_q(ybar) e_q(c y): the DFT of w[y] = e_q(ybar)
-    at the units, so K = q ifft(w); cost O(q log q), memory O(q).
+    K[c] = sum over units y of e_p(ybar) e_p(c y): the DFT of w[y] = e_p(ybar)
+    (w[0] = 0), so K = p ifft(w); cost O(p log p), memory O(p).
     """
-    q = as_index(q, "q")
-    w = np.zeros(q, dtype=complex)
-    w[unit_residues(q)] = np.exp(2j * np.pi * unit_inverses(q) / q)
-    k = q * np.fft.ifft(w)
+    p = as_index(p, "p")
+    w = np.exp(2j * np.pi * unit_inverses(p) / p)  # unit_inverses checks p
+    w[0] = 0
+    k = p * np.fft.ifft(w)
     k.setflags(write=False)
     return k
 

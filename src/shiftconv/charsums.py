@@ -26,7 +26,7 @@ flips the sign of the Poisson phase).  T2 is the mod-q2 factor written out
 in t2_sum below.
 
 Each sum has one evaluator per use:
-    char_sum_S            direct double sum, the reference for any q;
+    char_sum_S            direct double sum for any q, reading no package table;
     char_sum_S_factored   per-prime product for q = q1 q2, taking arrays
                           in m2, n and h (at m1 = q1 it is the Kloosterman
                           factor times the two-variable unit sum mod q2);
@@ -58,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import PrimeModulus, is_prime, kloosterman_table, unit_inverses, unit_residues
+from .arith import PrimeModulus, is_prime, kloosterman_table, unit_inverses
 from .errors import InvalidDivisor, OutOfRange
 from .reports import ExperimentReport
 from .util import as_index
@@ -120,11 +120,13 @@ def char_sum_S(p: SCharParams) -> complex:
     """S(m1, m2, n, h; q) by direct double summation."""
     q = p.q
     qm = q // p.m1
-    a = unit_residues(q)
-    ab = unit_inverses(q)
+    a = np.flatnonzero(np.gcd(np.arange(q), q) == 1)  # the units, [0] at q = 1
+    ab = np.array([pow(int(v), -1, q) for v in a], dtype=np.int64)
+    x = np.flatnonzero(np.gcd(np.arange(qm), qm) == 1)  # the units mod qm
+    xb = np.array([pow(int(v), -1, qm) for v in x], dtype=np.int64)
     # residues first, so no int64 product can wrap
     outer = _eq_pow(q, int(p.h) % q * a - int(p.n) % q * ab)
-    inner = kloosterman_table(qm)[ab * (int(p.m2) % qm) % qm]  # S(ab, m2; qm), ab a unit
+    inner = _eq_pow(qm, ab[:, None] * x + int(p.m2) % qm * xb).sum(axis=1)  # S(ab, m2; qm)
     return complex(np.sum(outer * inner))
 
 
@@ -186,7 +188,7 @@ def _prime_factor(p, c, m1, m2, n, h):
         return _kloosterman(p, hr, nr)
     m = cb * cb % p * (m2 % p) % p if m1 == 1 else m2 % p
     w = np.zeros(np.broadcast_shapes(hr.shape, nr.shape) + (p,), dtype=complex)
-    w[..., unit_inverses(p)] = _kloosterman(p, hr[..., None], (nr[..., None] + unit_residues(p)) % p)
+    w[..., unit_inverses(p)[1:]] = _kloosterman(p, hr[..., None], (nr[..., None] + np.arange(1, p)) % p)
     # sparse (n, h) indices broadcast against m as the arguments did
     return (p * np.fft.ifft(w))[(*np.indices(w.shape[:-1], sparse=True), m)]
 
@@ -264,10 +266,10 @@ def t1_closed_form(p: TCharParams, which: str = "q1") -> complex:
     """
     if p.q1.p == p.q1t.p:
         raise InvalidDivisor("closed form applies to q1 != q1t")
-    if which == "q1":
-        pr, other, m = p.q1.p, p.q1t.p, p.m
+    if which == "q1":  # m as one integer, though char_sum_T also takes an array
+        pr, other, m = p.q1.p, p.q1t.p, as_index(p.m, "m")
     elif which == "q1t":
-        pr, other, m = p.q1t.p, p.q1.p, -p.m
+        pr, other, m = p.q1t.p, p.q1.p, -as_index(p.m, "m")
     else:
         raise OutOfRange(f"which must be 'q1' or 'q1t', got {which!r}")
     if m % pr == 0:
@@ -291,20 +293,18 @@ def t2_sum(
     p1, pt, p2 = q1.p, q1t.p, q2.p
     # residues first, so no int64 product can wrap
     n, m, h = (as_index(v, name) % p2 for v, name in ((n, "n"), (m, "m"), (h, "h")))
-    q1b = pow(p1, -1, p2)
-    qtb = pow(pt, -1, p2)
-    beta = unit_residues(p2)
-    betab = unit_inverses(p2)
+    q1b, qtb = pow(p1, -1, p2), pow(pt, -1, p2)
+    inv = unit_inverses(p2)
+    beta, betab = np.arange(1, p2), inv[1:]
     base_b = _eq_pow(p2, q1b * h * beta - q1b * n * betab)
     base_g = _eq_pow(p2, -qtb * h * beta + qtb * n * betab)  # gamma shares the unit grid
     total = 0.0 + 0.0j
-    for delta, deltab in zip(unit_residues(p2), unit_inverses(p2)):
+    for delta, deltab in zip(beta, betab):
         w = (pt * delta + m) % p2
         if w == 0:
             continue
-        winv = pow(int(w), -1, p2)
         bsum = np.sum(base_b * _eq_pow(p2, q1b * betab * deltab))
-        gsum = np.sum(base_g * _eq_pow(p2, -qtb * p1 * winv * betab))
+        gsum = np.sum(base_g * _eq_pow(p2, -qtb * p1 * inv[w] * betab))
         total += bsum * gsum
     return complex(p2 * total)
 

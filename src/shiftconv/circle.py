@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import primes_in_dyadic, unit_residues
+from .arith import primes_in_dyadic
 from .errors import OutOfRange, OverlappingRanges
 from .reports import ExperimentReport
 from .util import as_index
@@ -97,7 +97,7 @@ def _interval_counts(A: Approximant, xs) -> np.ndarray:
     """Number of fractions a/q within circular distance delta of each x mod 1;
     as delta < 1/2, the window [x - delta, x + delta] holds at most one of
     f - 1, f, f + 1 for each a/q = f in (0, 1)."""
-    f = np.sort(np.concatenate([unit_residues(q) / q for _, _, q in A.moduli.members]))
+    f = np.sort(np.concatenate([np.flatnonzero(np.gcd(np.arange(q), q) == 1) / q for *_, q in A.moduli.members]))
     f = np.concatenate([f - 1.0, f, f + 1.0])
     x = np.asarray(xs, dtype=float) % 1.0
     return np.searchsorted(f, x + A.delta, "right") - np.searchsorted(f, x - A.delta, "left")

@@ -3,16 +3,15 @@
 All are independent of shiftconv except two.  direct_t checks T's CRT
 reindexing and takes its S vectors from the package's S kernel.
 contraction_prime_factor, the reference for the FFT kernel of S's prime
-factors, is the phase-matrix contraction that kernel replaced; it reads
-the package's unit tables, phases and Kloosterman row, which test_arith
-checks against brute_kloosterman.
+factors, is the phase-matrix contraction that kernel replaced; it builds
+its own units and inverses, and reads the package's phases and Kloosterman
+row, which test_arith checks against brute_kloosterman.
 """
 
 import math
 
 import numpy as np
 
-from shiftconv.arith import unit_inverses, unit_residues
 from shiftconv.charsums import _eq_pow, _kloosterman, char_sum_S_factored
 
 
@@ -61,7 +60,8 @@ def contraction_prime_factor(p, c, m1, m2, n, h):
     if m1 % p == 0:
         return _kloosterman(p, hr, nr)
     m2_eff = cb * cb * (m2 % p) % p if m1 == 1 else m2 % p
-    b, bb = unit_residues(p), unit_inverses(p)
+    b = np.arange(1, p)
+    bb = np.array([pow(int(x), -1, p) for x in b], dtype=np.int64)
     phases = _eq_pow(p, hr[..., None] * b + nr[..., None] * bb)
     # contract b without materialising the broadcast product
     return np.einsum("...b,...b->...", phases, _kloosterman(p, bb, m2_eff[..., None]))

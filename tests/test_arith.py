@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from oracles import brute_kloosterman, divisors, ramanujan_sum
 from shiftconv import arith
-from shiftconv.errors import EmptyRange, InvalidDivisor
+from shiftconv.errors import EmptyRange, InvalidDivisor, OutOfRange
+
+PRIMES_TO_60 = [p for p in range(2, 61) if all(p % d for d in range(2, p))]
 
 
 def brute_phi(q):
@@ -24,10 +26,10 @@ def brute_ramanujan(q, n):
     return s if q > 1 else 1.0 + 0j
 
 
-def kl(a, b, q):
-    """S(a, b; q) read from the production row as K[a b], for a a unit mod q."""
-    assert math.gcd(a, q) == 1
-    return arith.kloosterman_table(q)[a * b % q]
+def kl(a, b, p):
+    """S(a, b; p) read from the production row as K[a b], for a a unit mod the prime p."""
+    assert a % p != 0
+    return arith.kloosterman_table(p)[a * b % p]
 
 
 def direct_kloosterman_grid(q):
@@ -104,49 +106,91 @@ class TestRamanujanSum:
                 assert abs(ramanujan_sum(q, n)) <= bound
 
 
+class TestUnitInverses:
+    def test_every_inverse_at_1000003(self):
+        p = 1_000_003
+        inv = arith.unit_inverses(p)
+        assert inv.shape == (p,) and inv.dtype == np.int64 and inv[0] == 0
+        assert (np.arange(1, p) * inv[1:] % p == 1).all()
+
+    def test_matches_pow_at_seeded_values(self):
+        p = 1_000_003
+        a = np.random.default_rng(17).integers(1, p, 1000)
+        assert arith.unit_inverses(p)[a].tolist() == [pow(int(v), -1, p) for v in a]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 97])
+    def test_small_primes(self, p):
+        assert arith.unit_inverses(p).tolist() == [0] + [pow(a, -1, p) for a in range(1, p)]
+
+    @pytest.mark.parametrize("table", [arith.unit_inverses, arith.kloosterman_table])
+    @pytest.mark.parametrize(
+        "p,error", [(0, OutOfRange), (1, OutOfRange), (3_037_000_501, OutOfRange), (15, InvalidDivisor)]
+    )
+    def test_rejects_p_outside_the_primes_it_holds(self, table, p, error):
+        # 3,037,000,500 is the largest p with (p - 1)^2 below 2^63
+        with pytest.raises(error):
+            table(p)
+
+    @pytest.mark.parametrize("table", [arith.unit_inverses, arith.kloosterman_table])
+    def test_bound_is_checked_before_allocating(self, table):
+        # one int64 array of length 3,037,000,501 would take 24 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange):
+                table(3_037_000_501)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
 class TestKloosterman:
     def test_empty_modulus(self):
-        assert kl(5, 9, 1) == 1.0 + 0j
+        # S(a, b; 1) = 1 is the empty product of the oracle and char_sum_S;
+        # the row exists only at a prime
+        assert brute_kloosterman(5, 9, 1) == 1.0 + 0j
+        with pytest.raises(OutOfRange):
+            arith.kloosterman_table(1)
 
     def test_brute_force_example(self):
         assert abs(kl(1, 1, 3) - (-1.0)) < 1e-12
         assert abs(brute_kloosterman(1, 1, 3) - (-1.0)) < 1e-12
 
-    @given(st.integers(2, 80), st.integers(0, 80))
+    @given(st.sampled_from(PRIMES_TO_60), st.integers(0, 80))
     @settings(max_examples=60)
-    def test_degenerates_to_ramanujan(self, q, a):
-        # S(a, 0; q) = c_q(a); the row reads it for a unit a
-        assume(math.gcd(a, q) == 1)
-        assert abs(kl(a, 0, q) - ramanujan_sum(q, a)) < 1e-9
+    def test_degenerates_to_ramanujan(self, p, a):
+        # S(a, 0; p) = c_p(a); the row reads it for a unit a
+        assume(a % p != 0)
+        assert abs(kl(a, 0, p) - ramanujan_sum(p, a)) < 1e-9
 
-    @given(st.integers(1, 60), st.integers(0, 60), st.integers(0, 60))
+    @given(st.sampled_from(PRIMES_TO_60), st.integers(0, 60), st.integers(0, 60))
     @settings(max_examples=80)
-    def test_symmetry(self, q, a, b):
+    def test_symmetry(self, p, a, b):
         # the row read at (a, b) is the direct sum at (b, a)
-        assume(math.gcd(a, q) == 1)
-        assert abs(kl(a, b, q) - brute_kloosterman(b, a, q)) < 1e-9
+        assume(a % p != 0)
+        assert abs(kl(a, b, p) - brute_kloosterman(b, a, p)) < 1e-9
 
     def test_real_valued(self):
-        for q in range(1, 61):
-            assert np.abs(arith.kloosterman_table(q).imag).max() < 1e-9
+        for p in PRIMES_TO_60:
+            assert np.abs(arith.kloosterman_table(p).imag).max() < 1e-9
 
     def test_multiplicativity(self):
-        # S(a,b;q1 q2) = S(a q2bar^2, b; q1) S(a q1bar^2, b; q2), (q1,q2)=1
+        # S(a,b;q1 q2) = S(a q2bar^2, b; q1) S(a q1bar^2, b; q2), (q1,q2)=1:
+        # the composite side term by term, the prime factors from the row
         rng = np.random.default_rng(7)
-        pairs = [(3, 5), (4, 9), (7, 8), (5, 13), (9, 11), (16, 25), (27, 35)]
-        for q1, q2 in pairs:
-            if q1 * q2 > 1000:
-                continue
+        for q1, q2 in [(2, 3), (3, 5), (5, 13), (7, 11), (11, 13), (13, 61), (29, 31)]:
+            q = q1 * q2
+            units = [x for x in range(q) if math.gcd(x, q) == 1]
             for _ in range(4):
-                a = int(rng.choice(arith.unit_residues(q1 * q2)))
-                b = int(rng.integers(0, q1 * q2))
-                lhs = kl(a, b, q1 * q2)
+                a = int(rng.choice(units))
+                b = int(rng.integers(0, q))
+                lhs = brute_kloosterman(a, b, q)
                 r1 = kl(a * pow(q2, -2, q1), b, q1)
                 r2 = kl(a * pow(q1, -2, q2), b, q2)
                 assert abs(lhs - r1 * r2) < 1e-7
 
     def test_table_matches_scalar(self):
-        for q in (1, 5, 12, 15):
+        for q in (2, 3, 5, 13):
             for a in (1, q - 1):
                 for b in (0, 2):
                     assert abs(kl(a, b, q) - brute_kloosterman(a, b, q)) < 1e-10
@@ -156,14 +200,14 @@ class TestKloosterman:
         for a, b in np.random.default_rng(211).integers(1, q, (12, 2)):
             assert abs(kl(int(a), int(b), q) - brute_kloosterman(int(a), int(b), q)) < 1e-9
 
-    @pytest.mark.parametrize("q", [1, 5, 12, 15, 211])
+    @pytest.mark.parametrize("q", [2, 3, 5, 211])
     def test_row_is_every_sum_with_a_unit(self, q):
         # K[a b] = S(a, b; q) at every (a, b) with a a unit; term by term
         # below q = 211, and there (44,310 pairs) by the matrix sum, with
         # K[c] = S(1, c; q) term by term at every c
         row = arith.kloosterman_table(q)
         assert row.shape == (q,)
-        units = arith.unit_residues(q)
+        units = np.arange(1, q)
         got = row[units[:, None] * np.arange(q) % q]
         if q < 211:
             want = [[brute_kloosterman(int(a), b, q) for b in range(q)] for a in units]
@@ -187,10 +231,10 @@ class TestKloosterman:
         # |S(a, b; p)| <= 2 sqrt(p) for a, b units: K at the units
         for p in (3, 5, 7, 11, 13):
             row = arith.kloosterman_table(p)
-            assert np.abs(row[arith.unit_residues(p)]).max() <= 2.0 * np.sqrt(p) + 1e-9
+            assert np.abs(row[1:]).max() <= 2.0 * np.sqrt(p) + 1e-9
 
 
-@pytest.mark.parametrize("table", [arith.unit_residues, arith.unit_inverses, arith.kloosterman_table])
+@pytest.mark.parametrize("table", [arith.unit_inverses, arith.kloosterman_table])
 def test_cached_tables_are_read_only(table):
     # a write would change every later caller's result
     t = table(7)
@@ -198,7 +242,7 @@ def test_cached_tables_are_read_only(table):
         t += 0
 
 
-@pytest.mark.parametrize("table", [arith.unit_residues, arith.unit_inverses, arith.kloosterman_table])
+@pytest.mark.parametrize("table", [arith.unit_inverses, arith.kloosterman_table])
 def test_cached_tables_take_numpy_integers(table):
     # pow(a, -1, np.int64(q)) raised TypeError inside unit_inverses
     assert np.array_equal(table(np.int64(11)), table(11))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_kloosterman, contraction_prime_factor, direct_t
+from shiftconv import arith
 from shiftconv import charsums as cs
 from shiftconv.arith import PrimeModulus, factorize, kloosterman_table
 from shiftconv.errors import InvalidDivisor
@@ -114,6 +115,16 @@ class TestSCharSum:
         a = cs.char_sum_S(cs.SCharParams(1, 2, n, h, q))
         b = cs.char_sum_S(cs.SCharParams(1, 2, n, h + q, q))
         assert abs(a - b) < 1e-9
+
+    def test_reference_reads_no_package_table(self):
+        # an error in the row the factored form reads cannot cancel in
+        # test_factored_matches_brute
+        arith.unit_inverses.cache_clear()
+        arith.kloosterman_table.cache_clear()
+        for m1 in (1, 5, 7, 35):
+            cs.char_sum_S(cs.SCharParams(m1, 3, 2, 4, 35))
+        assert arith.unit_inverses.cache_info().currsize == 0
+        assert arith.kloosterman_table.cache_info().currsize == 0
 
     def test_factored_matches_brute(self):
         rng = np.random.default_rng(3)

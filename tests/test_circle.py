@@ -10,7 +10,7 @@ import pytest
 
 from oracles import divisors, ramanujan_sum
 from shiftconv import circle
-from shiftconv.arith import euler_phi, unit_residues
+from shiftconv.arith import euler_phi
 from shiftconv.errors import OutOfRange, OverlappingRanges
 
 
@@ -19,12 +19,17 @@ def small_set():
     return circle.build_moduli_set(3, 11, 1)
 
 
+def units(q):
+    """The units a mod q, ascending, one gcd at a time."""
+    return [a for a in range(q) if math.gcd(a, q) == 1]
+
+
 def brute_counts(ms, delta, xs):
     """Number of units a/q, over every member q, within circular distance
     delta of each x in [0, 1), one fraction at a time."""
     count = np.zeros(len(xs))
     for q1, q2, q in ms.members:
-        for a in unit_residues(q):
+        for a in units(q):
             d = np.abs(xs - a / q)
             count += (np.minimum(d, 1.0 - d) <= delta)
     return count
@@ -147,7 +152,7 @@ class TestApproximantEval:
         xs = np.concatenate([[np.pi / 7 % 1.0], np.sqrt(np.arange(2, 400)) % 1.0])
         # keep points whose distance to every interval end exceeds the
         # rounding of x + k
-        d = np.abs(xs[:, None] - np.concatenate([unit_residues(q) / q for *_, q in small_set.members]))
+        d = np.abs(xs[:, None] - np.concatenate([np.divide(units(q), q) for *_, q in small_set.members]))
         xs = xs[(np.abs(np.minimum(d, 1.0 - d) - delta) > 1e-9).all(axis=1)]
         assert len(xs) > 300 and brute_counts(small_set, delta, xs).any()
         base = circle.approximant_eval(A, xs)

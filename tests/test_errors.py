@@ -75,7 +75,6 @@ def _approximant(delta):
         (lambda: arith.primes_in_dyadic(10.5, 1), OutOfRange),
         (lambda: arith.primes_in_dyadic(10, 1.0), OutOfRange),
         (lambda: circle.build_moduli_set(3, 11.0, 1), OutOfRange),
-        (lambda: arith.unit_residues(7.0), OutOfRange),
         (lambda: arith.unit_inverses(7.0), OutOfRange),
         (lambda: arith.kloosterman_table(2.5), OutOfRange),
         # an untyped cache would answer 7.0 from the entry for np.int64(7)
@@ -104,6 +103,18 @@ def _approximant(delta):
         (lambda: _approximant("0.01"), OutOfRange),
         (lambda: circle.l2_error_census([(3, 11)], [-1.0], n_max_factor="5"), OutOfRange),
         (lambda: circle.l2_error_census([(3, 11)], ["a"]), OutOfRange),
+        (
+            lambda: charsums.t1_closed_form(
+                charsums.TCharParams(n=1, m=np.array([1, 2, 3]), h=1, q1=P(3), q1t=P(5), q2=P(7))
+            ),
+            OutOfRange,
+        ),
+        (
+            lambda: charsums.t1_closed_form(
+                charsums.TCharParams(n=1, m=np.array([2]), h=1, q1=P(3), q1t=P(5), q2=P(7)), "q1t"
+            ),
+            OutOfRange,
+        ),
     ],
     ids=[
         "weight12_N_below_1",
@@ -151,7 +162,6 @@ def _approximant(delta):
         "primes_in_dyadic_Q_not_integer",
         "primes_in_dyadic_exclude_not_integer",
         "build_moduli_set_Q2_not_integer",
-        "unit_residues_q_not_integer",
         "unit_inverses_q_not_integer",
         "kloosterman_table_q_not_integer",
         "kloosterman_table_q_float_after_numpy_int",
@@ -179,6 +189,8 @@ def _approximant(delta):
         "approximant_delta_string",
         "l2_census_n_max_factor_string",
         "l2_census_delta_exponent_string",
+        "t1_closed_form_m_array",
+        "t1_closed_form_m_length_one_array",
     ],
 )
 def test_bad_input_raises_package_error(call, error):

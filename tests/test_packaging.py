@@ -6,6 +6,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 from types import FunctionType
 
@@ -80,3 +81,39 @@ def test_public_names_have_a_caller_outside_tests():
                     and attr not in used
                 ]
     assert not unused, f"public names with no caller outside tests/: {unused}"
+
+
+# the modules tests/ and perfbench/ import from their own directories
+LOCAL_MODULES = {"shiftconv", "oracles", "tracer", "layers", "workloads", "child", "run"}
+
+
+def _required_imports(node):
+    """Top-level names of the modules imported under node, skipping the body
+    of a try that catches ImportError: an optional import may be missing."""
+    if isinstance(node, ast.Import):
+        yield from (alias.name.split(".")[0] for alias in node.names)
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        yield node.module.split(".")[0]
+    optional = isinstance(node, ast.Try) and any(
+        isinstance(h.type, ast.Name) and h.type.id in ("ImportError", "ModuleNotFoundError") for h in node.handlers
+    )
+    for child in ast.iter_child_nodes(node):
+        if not (optional and child in node.body):
+            yield from _required_imports(child)
+
+
+def test_imports_are_declared():
+    # CI installs only the declared dependencies, so an import of a package
+    # that merely happens to be installed here passes locally and fails there
+    project = _pyproject()["project"]
+    specs = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w.-]+", spec).group(0).lower().replace("-", "_") for spec in specs}
+    allowed = set(sys.stdlib_module_names) | declared | LOCAL_MODULES
+    stray = [
+        f"{f.relative_to(ROOT)}: {name}"
+        for d in ("src", "tests", "perfbench")
+        for f in sorted((ROOT / d).rglob("*.py"))
+        for name in _required_imports(ast.parse(f.read_text()))
+        if name not in allowed
+    ]
+    assert not stray, f"imports of undeclared packages: {stray}"
