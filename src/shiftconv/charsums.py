@@ -40,11 +40,11 @@ Each sum has one evaluator per use:
                           per field;
     char_sum_T            built from the same per-prime factors of S: by
                           CRT the alpha-sum splits into one sum mod each
-                          prime, and one length-r inverse FFT of each
-                          cached alpha-vector gives that sum at every m,
-                          so m may be an int or an array; the T census
-                          calls it once per (q1, q1t, q2, n, h) on all its
-                          m and appends that block, like S.
+                          prime, and one batched length-r inverse FFT per
+                          prime gives it at every (n, h, m), which may be
+                          ints or arrays that broadcast, as in S; the T
+                          census calls it once per (q1, q1t, q2) on its
+                          whole grid and appends one block per (n, h).
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -89,27 +88,37 @@ class SCharParams:
 class TCharParams:
     """Parameters (n, m, h) of T over the prime triple (q1, q1t, q2).
 
-    m is an int or a 1-D int array of dual frequencies; char_sum_T then
-    returns T at each of them.  q1 = q1t is permitted (the two inner S then
-    share a modulus); q2 must differ from both.
+    n, m (the dual frequency) and h are ints or int arrays that broadcast
+    together, stored as given, and char_sum_T returns T at each (n, h, m); a
+    non-integer raises OutOfRange.  q1 = q1t is permitted (the two inner S
+    then share a modulus); q2 must differ from both.
     """
 
-    n: int
+    n: int | np.ndarray
     m: int | np.ndarray
-    h: int
+    h: int | np.ndarray
     q1: PrimeModulus
     q1t: PrimeModulus
     q2: PrimeModulus
 
     def __post_init__(self):
-        for name in ("n", "h"):
-            as_index(getattr(self, name), name)
-        if not isinstance(self.m, np.ndarray):
-            as_index(self.m, "m")
-        elif self.m.ndim != 1 or self.m.dtype.kind not in "iu":
-            raise OutOfRange(f"m must be an int or a 1-D int array, got {self.m.dtype} of shape {self.m.shape}")
+        _residues(self.q1.p * self.q1t.p * self.q2.p, self.n, self.m, self.h)
         if self.q2.p in (self.q1.p, self.q1t.p):
             raise InvalidDivisor("q2 must avoid {q1, q1t}")
+
+
+def _residues(q: int, *xs) -> list[np.ndarray]:
+    """Each x, an int or an int array, reduced mod q as an int64 array; a
+    non-integer, or shapes that do not broadcast together, raise OutOfRange."""
+    xs = [np.asarray(x % q if type(x) is int else x) for x in xs]
+    if any(x.dtype.kind not in "iu" for x in xs):
+        raise OutOfRange(f"expected integers, got dtypes {', '.join(str(x.dtype) for x in xs)}")
+    try:
+        np.broadcast_shapes(*(x.shape for x in xs))
+    except ValueError:
+        raise OutOfRange(f"shapes {', '.join(str(x.shape) for x in xs)} do not broadcast") from None
+    # reduced mod q in their own dtype, so a uint64 cannot wrap in the cast
+    return [(x % q).astype(np.int64, copy=False) for x in xs]
 
 
 def _eq_pow(q: int, exponents: np.ndarray) -> np.ndarray:
@@ -144,8 +153,8 @@ def char_sum_S_factored(
 
     m2, n and h may be integers or integer arrays and broadcast against each
     other; m1, q1 and q2 are integers.  The result has the broadcast shape,
-    and a call with three scalars returns a complex.  Non-integer m2, n or h
-    raise OutOfRange.
+    and a call with three scalars returns a complex.  Non-integer m2, n or h,
+    or shapes that do not broadcast, raise OutOfRange.
     """
     if q1 == q2 or not (is_prime(q1) and is_prime(q2)):
         raise InvalidDivisor(f"q1 and q2 must be distinct primes, got {q1} and {q2}")
@@ -153,11 +162,7 @@ def char_sum_S_factored(
     m1 = as_index(m1, "m1")
     if m1 < 1 or q % m1:
         raise InvalidDivisor(f"m1={m1} does not divide q={q}")
-    m2, n, h = (np.asarray(x % q if type(x) is int else x) for x in (m2, n, h))
-    if any(x.dtype.kind not in "iu" for x in (m2, n, h)):
-        raise OutOfRange(f"m2, n and h must be integers, got dtypes {m2.dtype}, {n.dtype}, {h.dtype}")
-    # reduced mod q in their own dtype, so a uint64 cannot wrap in the cast
-    m2, n, h = ((x % q).astype(np.int64, copy=False) for x in (m2, n, h))
+    m2, n, h = _residues(q, m2, n, h)
     val = np.ones(np.broadcast_shapes(m2.shape, n.shape, h.shape), dtype=complex)
     val = val * _prime_factor(q1, q2, m1, m2, n, h) * _prime_factor(q2, q1, m1, m2, n, h)
     return complex(val) if val.ndim == 0 else val
@@ -199,19 +204,14 @@ def _kloosterman(p, a, b):
     return np.where((a == 0) & (b == 0), p - 1, kloosterman_table(p)[a * b % p])
 
 
-@lru_cache(maxsize=1024)
-def _alpha_factor(p: int, c: int, n: int, h: int) -> np.ndarray:
-    """A(x) = factor at p of S(1, x, n, h; p c) for x mod p; keys n, h mod p.
-    By CRT, S(1, alpha, n, h; q1 q2) = A_q1(alpha mod q1) A_q2(alpha mod q2)."""
-    a = _prime_factor(p, c, 1, np.arange(p), np.int64(n), np.int64(h))
-    a.setflags(write=False)
-    return a
-
-
-def _t_factors(p: TCharParams):
-    """(A_q1, A_q2) and (B_q1t, B_q2), the alpha factors of S_a and S_b."""
-    return [[_alpha_factor(r, c, p.n % r, p.h % r) for r, c in ((q, p.q2.p), (p.q2.p, q))]
-            for q in (p.q1.p, p.q1t.p)]
+def _t_factors(p: TCharParams, n: np.ndarray, h: np.ndarray):
+    """(A_q1, A_q2) and (B_q1t, B_q2), the alpha factors of S_a and S_b at the
+    residues n, h, each on their broadcast shape plus one axis x mod r.  By
+    CRT, S(1, alpha, n, h; q1 q2) = A_q1(alpha mod q1) A_q2(alpha mod q2)."""
+    q1, q1t, q2, n, h = p.q1.p, p.q1t.p, p.q2.p, n[..., None], h[..., None]
+    # one _prime_factor call per distinct (r, cofactor): two on the diagonal
+    pairs = {q: [_prime_factor(r, c, 1, np.arange(r), n, h) for r, c in ((q, q2), (q2, q))] for q in {q1, q1t}}
+    return pairs[q1], pairs[q1t]
 
 
 def char_sum_T(p: TCharParams) -> complex | np.ndarray:
@@ -224,26 +224,31 @@ def char_sum_T(p: TCharParams) -> complex | np.ndarray:
     q1 q2: T = 0 unless m = q1 m', and then T = q1 sum over beta mod q1 q2 of
     |S(beta)|^2 e_{q1 q2}(m' beta), which splits the same way.
 
-    Each short sum is sum_x v_r(x) e_r(k x) = r ifft(v_r)[k], so one length-r
-    inverse FFT per prime gives T at every m: p.m is an int, for which the
-    result is a complex, or a 1-D int array, for which it is an array of the
-    same length.  m is reduced mod Q = q1 q1t q2, a period of T, first.
+    Each short sum is sum_x v_r(x) e_r(k x) = r ifft(v_r)[k], so one batched
+    length-r inverse FFT per prime, over every (n, h), gives T at every
+    (n, h, m).  The result has the broadcast shape of p.n, p.m and p.h, and a
+    call with three scalars returns a complex.  n, m and h are reduced mod
+    Q = q1 q1t q2, a period of T, first.
     """
     q1, q1t, q2 = p.q1.p, p.q1t.p, p.q2.p
-    (a1, a2), (b1, b2) = _t_factors(p)
-    # one array path for both kinds of m, so a scalar gets the array's bits
-    m = np.atleast_1d(np.asarray(p.m % (q1 * q1t * q2), dtype=np.int64))
+    res = _residues(q1 * q1t * q2, p.n, p.m, p.h)
+    # one array path for scalars too, so a scalar call gets the array's bits
+    n, m, h = (np.atleast_1d(x) for x in res)
+    (a1, a2), (b1, b2) = _t_factors(p, n, h)
     if q1 == q1t:
         scale, m, terms = q1 * (m % q1 == 0), m // q1, [(q1, np.abs(a1) ** 2), (q2, np.abs(a2) ** 2)]
     else:
         scale, terms = 1, [(q1, a1), (q1t, np.conj(b1)), (q2, a2 * np.conj(b2))]
     big = math.prod(r for r, _ in terms)
-    val = scale * math.prod(r * np.fft.ifft(v)[m % r * pow(big // r, -1, r) % r] for r, v in terms)
-    return val if isinstance(p.m, np.ndarray) else complex(val[0])
+    # sparse (n, h) indices broadcast against m as the arguments did
+    nh = np.indices(a1.shape[:-1], sparse=True)
+    val = scale * math.prod(r * np.fft.ifft(v)[(*nh, m % r * pow(big // r, -1, r) % r)] for r, v in terms)
+    return complex(val[0]) if all(x.ndim == 0 for x in res) else val
 
 
-def char_sum_T_tolerance(p: TCharParams) -> float:
-    """Absolute float error allowed in char_sum_T, for the vanishing laws.
+def char_sum_T_tolerance(p: TCharParams) -> float | np.ndarray:
+    """Absolute float error allowed in char_sum_T, for the vanishing laws, on
+    the broadcast shape of p.n and p.h (a float for two scalars).
 
     A float error model, not a proven bound.  T is a product of three short
     sums (F_q1 F_q1t F_q2; q1 F_q1 F_q2 on the diagonal), so |T| <= B = Q
@@ -252,8 +257,9 @@ def char_sum_T_tolerance(p: TCharParams) -> float:
     multiple of epsilon B: below 0.4 epsilon B on the vanishing laws, so the
     factor 16 leaves a wide margin; a T that does not vanish is far larger.
     """
-    sa, sb = (np.abs(u).max() * np.abs(v).max() for u, v in _t_factors(p))
-    return float(16 * np.finfo(float).eps * p.q1.p * p.q1t.p * p.q2.p * sa * sb)
+    n, h = _residues(p.q1.p * p.q1t.p * p.q2.p, p.n, p.h)
+    sa, sb = (np.abs(u).max(axis=-1) * np.abs(v).max(axis=-1) for u, v in _t_factors(p, n, h))
+    return 16 * np.finfo(float).eps * p.q1.p * p.q1t.p * p.q2.p * sa * sb
 
 
 def t1_closed_form(p: TCharParams, which: str = "q1") -> complex:
@@ -266,17 +272,15 @@ def t1_closed_form(p: TCharParams, which: str = "q1") -> complex:
     """
     if p.q1.p == p.q1t.p:
         raise InvalidDivisor("closed form applies to q1 != q1t")
-    if which == "q1":  # m as one integer, though char_sum_T also takes an array
-        pr, other, m = p.q1.p, p.q1t.p, as_index(p.m, "m")
-    elif which == "q1t":
-        pr, other, m = p.q1t.p, p.q1.p, -as_index(p.m, "m")
-    else:
+    if which not in ("q1", "q1t"):
         raise OutOfRange(f"which must be 'q1' or 'q1t', got {which!r}")
+    # one (n, m, h), though char_sum_T also takes arrays
+    n, m, h = (as_index(getattr(p, name), name) for name in ("n", "m", "h"))
+    pr, other, m = (p.q1.p, p.q1t.p, m) if which == "q1" else (p.q1t.p, p.q1.p, -m)
     if m % pr == 0:
         return 0.0 + 0.0j
-    q2b = pow(p.q2.p, -1, pr)
-    mb = pow(m % pr, -1, pr)
-    return complex(pr * _kloosterman(pr, q2b * int(p.h) % pr, -q2b * (int(p.n) + other * mb) % pr))
+    q2b, mb = pow(p.q2.p, -1, pr), pow(m % pr, -1, pr)
+    return complex(pr * _kloosterman(pr, q2b * h % pr, -q2b * (n + other * mb) % pr))
 
 
 def t2_sum(
@@ -392,10 +396,7 @@ def _census_s(family: SCensusFamily) -> ExperimentReport:
         for m1 in (1, q1, q2, q):
             abs_sum = np.abs(char_sum_S_factored(m1, m2s, ns[:, None, None], hs[:, None], q1, q2)).ravel()
             norm = np.tile(q / math.sqrt(m1) * np.sqrt(np.gcd(q // m1, m2s)), len(ns) * len(hs))
-            rep.add(
-                q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h,
-                abs_sum=abs_sum, normalizer=norm, ratio=abs_sum / norm,
-            )
+            rep.add(q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h, abs_sum=abs_sum, normalizer=norm, ratio=abs_sum / norm)
         log.debug("S census (q1, q2) = (%d, %d): %d rows, %.3f s", q1, q2, len(rep), time.perf_counter() - t0)
     return rep.finalize()
 
@@ -412,7 +413,6 @@ def _census_t(family: TCensusFamily) -> ExperimentReport:
             continue
         if not family.diagonal and q1 > q1t:
             continue  # T(q1t, q1) pairs with m -> -m; sweep unordered
-        moduli = {"q1": PrimeModulus(q1), "q1t": PrimeModulus(q1t), "q2": PrimeModulus(q2)}
         if family.diagonal:
             m, vanish = q1 * ks, np.zeros(ks.shape, dtype=bool)
             norm = q1 ** 2.5 * q2 ** 2.5 * np.sqrt(np.gcd(ks, q1 * q2))
@@ -420,18 +420,17 @@ def _census_t(family: TCensusFamily) -> ExperimentReport:
             # vanishing-law tuples, gcd(m, q1 q1t) > 1: counted, expected ~0, not recorded
             m, vanish = ks, np.gcd(ks, q1 * q1t) != 1
             norm = q1 ** 1.5 * q1t ** 1.5 * q2 ** 2.5 * np.sqrt(np.gcd(ks, q2))
-        keep = ~vanish
-        for n, h in itertools.product(family.n_values, family.h_values):
-            params = TCharParams(n=n, m=m, h=h, **moduli)
-            v = np.abs(char_sum_T(params))
-            vanish_checked += int(vanish.sum())
-            vanish_passed += int((v[vanish] < char_sum_T_tolerance(params)).sum())
-            rep.add(
-                q1=q1, q1t=q1t, q2=q2, n=n, m=m[keep], h=h,
-                abs_sum=v[keep], normalizer=norm[keep], ratio=v[keep] / norm[keep],
-            )
-        log.debug(
-            "T census (q1, q1t, q2) = (%d, %d, %d): %d rows, %.3f s",
-            q1, q1t, q2, len(rep), time.perf_counter() - t0,
-        )
+        # one call on axes (n, h, m), with n and h reduced mod Q, a period of
+        # T; the report keeps them as given, one block per (n, h)
+        q = q1 * q1t * q2
+        ns, hs = (np.array([x % q for x in xs], dtype=np.int64) for xs in (family.n_values, family.h_values))
+        params = TCharParams(ns[:, None, None], m, hs[:, None], *map(PrimeModulus, (q1, q1t, q2)))
+        v = np.abs(char_sum_T(params))
+        vanish_checked += v[..., vanish].size
+        vanish_passed += int((v[..., vanish] < char_sum_T_tolerance(params)).sum())
+        v, m, norm = v[..., ~vanish], m[~vanish], norm[~vanish]
+        for (i, n), (j, h) in itertools.product(enumerate(family.n_values), enumerate(family.h_values)):
+            rep.add(q1=q1, q1t=q1t, q2=q2, n=n, m=m, h=h, abs_sum=v[i, j], normalizer=norm, ratio=v[i, j] / norm)
+        log.debug("T census (q1, q1t, q2) = (%d, %d, %d): %d rows, %.3f s",
+                  q1, q1t, q2, len(rep), time.perf_counter() - t0)
     return rep.finalize(vanish_checked=vanish_checked, vanish_passed=vanish_passed)

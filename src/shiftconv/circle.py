@@ -247,12 +247,13 @@ def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 
     rather than enforced.
     """
     _check_positive_real(n_max_factor, "n_max_factor")
+    # lists once, so a one-shot iterator is not emptied by the check or config
+    anchors, delta_exponents = list(anchors), list(delta_exponents)
     if not all(isinstance(e, numbers.Real) for e in delta_exponents):
         raise OutOfRange(f"delta_exponents must be real numbers, got {delta_exponents!r}")
     cols = ["Q1", "Q2", "delta", "L", "density", "error", "bound", "ratio"]
     rep = ExperimentReport(
-        cols,
-        {"anchors": list(anchors), "delta_exponents": list(delta_exponents), "h": h, "n_max_factor": n_max_factor},
+        cols, {"anchors": anchors, "delta_exponents": delta_exponents, "h": h, "n_max_factor": n_max_factor}
     )
     t0 = time.perf_counter()
     for Q1, Q2 in anchors:

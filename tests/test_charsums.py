@@ -434,14 +434,29 @@ class TestPrimeFactorKernel:
         # the contraction held a p x (p - 1) phase matrix and gather: ~34 MB
         p = 1009
         kloosterman_table(p)  # builds and caches the unit tables too
-        cs._alpha_factor.cache_clear()
         tracemalloc.start()
         try:
-            cs._alpha_factor(p, 1013, 3, 5)
+            cs._prime_factor(p, 1013, 1, np.arange(p), np.array(3), np.array(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+    def test_twist_above_int64_square_root(self):
+        # at p = 2,200,013 the twist cbar^2 m2 is 460,407 mod p; multiplying
+        # cbar^2 (~4.2e12) by m2 mod p before reducing passes 2^63 in int64
+        # and gave 709,364
+        p, c, m2, n, h = 2_200_013, 29, 2_200_012, 3, 5
+        cb = pow(c, -1, p)
+        t = cb * cb * m2 % p  # in Python ints
+        assert (cb, t) == (2_048_288, 460_407)
+        # a 1-D m2, on which int64 products wrap silently
+        got = cs._prime_factor(p, c, 1, np.array([m2]), np.array(n), np.array(h))[0]
+        # the b-sum, with S(bbar, t; p) = K[bbar t]
+        b, bb = np.arange(1, p), arith.unit_inverses(p)[1:]
+        hr, nr = cb * h % p, -cb * n % p
+        want = np.sum(np.exp(2j * np.pi * ((hr * b + nr * bb) % p) / p) * kloosterman_table(p)[bb * t % p])
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestAlphaTable:
@@ -467,26 +482,16 @@ class TestAlphaTable:
         assert np.abs(got - oracle_s_alpha(3, 2, q, alphas)).max() < 1e-9 * q
 
     def test_alpha_factor_is_the_crt_split(self):
-        # S(1, alpha; q1 q2) = A_q1(alpha mod q1) A_q2(alpha mod q2)
-        q1, q2, n, h = 7, 11, 3, 5
-        a1 = cs._alpha_factor(q1, q2, n, h)
-        a2 = cs._alpha_factor(q2, q1, n, h)
-        alpha = np.arange(q1 * q2)
-        want = cs.char_sum_S_factored(1, alpha, n, h, q1, q2)
-        assert np.abs(a1[alpha % q1] * a2[alpha % q2] - want).max() < 1e-9 * q1 * q2
-
-    def test_alpha_factor_read_only_and_keyed_by_residue(self):
-        a = cs._alpha_factor(13, 17, 4, 6)
-        assert not a.flags.writeable
-        assert a.shape == (13,)
-        # T at (n, h) and at (n + Q, h - Q) reads the same cached factors
-        q = 13 * 19 * 17
-        cs.char_sum_T(tparams(4, 2, 6, 13, 19, 17))
-        before = cs._alpha_factor.cache_info()
-        cs.char_sum_T(tparams(4 + q, 2, 6 - q, 13, 19, 17))
-        after = cs._alpha_factor.cache_info()
-        assert after.misses == before.misses
-        assert after.hits == before.hits + 4
+        # S(1, alpha; q q2) = A_q(alpha mod q) A_q2(alpha mod q2) for q in
+        # {q1, q1t}, at every (n, h) of the grid, off and on the diagonal
+        q1, q2 = 7, 11
+        n, h = np.array([0, 3, 9])[:, None], np.array([5, 1, 77, 2])
+        for q1t in (13, 7):
+            for (f, f2), q in zip(cs._t_factors(tparams(n, 1, h, q1, q1t, q2), n, h), (q1, q1t)):
+                assert f.shape == (3, 4, q) and f2.shape == (3, 4, q2)
+                alpha = np.arange(q * q2)
+                want = cs.char_sum_S_factored(1, alpha, n[..., None], h[..., None], q, q2)
+                assert np.abs(f[..., alpha % q] * f2[..., alpha % q2] - want).max() < 1e-9 * q * q2
 
 
 class TestTCharSum:
@@ -525,6 +530,15 @@ class TestTCharSum:
         b = cs.char_sum_T(tparams(n, 1, h + q, q1, q1t, q2))
         assert abs(a - b) < 1e-6 * max(1.0, abs(a))
 
+    def test_periodic_in_n_and_h_together(self):
+        # T(n + Q, h - Q) = T(n, h): the same residues, so the same bits
+        ms = np.arange(-3, 40)
+        for q1, q1t, q2 in [(13, 19, 17), (13, 13, 17)]:
+            q = q1 * q1t * q2
+            for n, h in [(4, 6), (np.array([4, 0])[:, None, None], np.array([6, 1])[:, None])]:
+                want = cs.char_sum_T(tparams(n, ms, h, q1, q1t, q2))
+                assert cs.char_sum_T(tparams(n + q, ms, h - q, q1, q1t, q2)).tobytes() == want.tobytes()
+
     def test_hermitian_symmetry_diagonal(self):
         for m in (3, 6, 9):
             a = cs.char_sum_T(tparams(1, m, 1, 3, 3, 7))
@@ -533,7 +547,7 @@ class TestTCharSum:
 
 
 class TestTArrayM:
-    """char_sum_T on an int array of m: the scalar values, bit for bit."""
+    """char_sum_T on int arrays of n, m and h: the scalar values, bit for bit."""
 
     @pytest.mark.parametrize("q1,q1t,q2", [(3, 5, 7), (7, 5, 2), (5, 5, 13), (11, 11, 2)])
     @pytest.mark.parametrize("n,h", [(1, 1), (4, 0)])
@@ -544,6 +558,49 @@ class TestTArrayM:
         want = np.array([cs.char_sum_T(tparams(n, int(m), h, q1, q1t, q2)) for m in ms])
         assert got.shape == ms.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q1,q1t,q2", [(3, 5, 7), (7, 5, 2), (5, 5, 13), (11, 11, 2)])
+    def test_grid_matches_scalar_calls(self, q1, q1t, q2):
+        # one call on axes (n, h, m), big n and h included, against one
+        # scalar call per entry
+        big = q1 * q1t * q2 * 2 ** 40 + 1
+        ns = np.array([0, 1, 4, q1, big])[:, None, None]
+        hs = np.array([0, 1, 2, q2, -big])[:, None]
+        ms = np.array([-q1, -1, 0, 1, 2, q1, 3 * q1 * q1t, 40])
+        got = cs.char_sum_T(tparams(ns, ms, hs, q1, q1t, q2))
+        assert got.shape == (5, 5, 8)
+        want = np.array([cs.char_sum_T(tparams(int(n), int(m), int(h), q1, q1t, q2))
+                         for n in ns.ravel() for h in hs.ravel() for m in ms]).reshape(got.shape)
+        assert got.tobytes() == want.tobytes()
+        tol = cs.char_sum_T_tolerance(tparams(ns, ms, hs, q1, q1t, q2))
+        assert tol.shape == (5, 5, 1)
+        for i, j in np.ndindex(5, 5):
+            assert tol[i, j, 0] == cs.char_sum_T_tolerance(tparams(int(ns[i, 0, 0]), 1, int(hs[j, 0]), q1, q1t, q2))
+
+    @pytest.mark.parametrize("k,q1,q1t,q2", [(24, 97, 101, 103), (12, 197, 199, 211), (24, 97, 97, 103)])
+    def test_census_block_memory_is_linear(self, k, q1, q1t, q2):
+        # a census block on axes (n, h, m), k x k x 24: the (n, h, m, x)
+        # product would be 16 k^2 24 r bytes per prime, 22 MB at k = 24 and
+        # r ~ 100; the factors and their FFTs hold 16 k^2 r bytes per prime
+        ks = np.arange(1, k + 1)
+        p = tparams(ks[:, None, None], np.arange(1, 25), ks[:, None], q1, q1t, q2)
+        cs.char_sum_T(p)  # warm the Kloosterman rows
+        tracemalloc.start()
+        try:
+            cs.char_sum_T(p)
+            cs.char_sum_T_tolerance(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16 * k * k * (q1 + q1t + q2)
+
+    def test_2d_m_gives_the_broadcast_values(self):
+        # a 2-D m broadcasts against n and h like any other shape
+        ms = np.array([[1, 2, 3], [-4, 0, 9]])
+        got = cs.char_sum_T(tparams(np.array([[1], [2]]), ms, 3, 3, 5, 7))
+        assert got.shape == (2, 3)
+        for i, j in np.ndindex(got.shape):
+            assert got[i, j] == cs.char_sum_T(tparams(i + 1, int(ms[i, j]), 3, 3, 5, 7))
 
     def test_scalar_returns_complex(self):
         assert type(cs.char_sum_T(tparams(1, 2, 1, 3, 5, 7))) is complex
@@ -604,7 +661,6 @@ class TestTAgainstAlphaSum:
         # the full alpha-sum held length-q1 q1t q2 arrays: 159 MB here
         for q in (101, 103, 211):
             kloosterman_table(q)
-        cs._alpha_factor.cache_clear()
         tracemalloc.start()
         try:
             cs.char_sum_T(tparams(1, 2, 1, 101, 103, 211))

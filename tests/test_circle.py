@@ -370,6 +370,14 @@ class TestCensus:
         assert short.records[0]["error"] != long.records[0]["error"]
         assert short.config_hash != long.config_hash
 
+    def test_one_shot_iterables_match_lists(self):
+        # a consumed iterator once left a report with no rows
+        anchors, exps = [(3, 11), (3, 13)], [-1.0, -1.5]
+        want = circle.l2_error_census(anchors, exps, n_max_factor=20.0)
+        got = circle.l2_error_census(iter(anchors), (e for e in exps), n_max_factor=20.0)
+        assert got.config_hash == want.config_hash
+        assert got.records == want.records and len(got.records) == 4
+
     def test_progress_is_logged_at_debug(self, caplog):
         args = ([(3, 11), (3, 13)], [-1.0, -1.5])
         quiet = circle.l2_error_census(*args, n_max_factor=20.0).to_jsonl()

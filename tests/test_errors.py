@@ -61,7 +61,10 @@ def _approximant(delta):
             OutOfRange,
         ),
         (lambda: charsums.TCharParams(n=1, m=np.array([1.0, 2.0]), h=1, q1=P(3), q1t=P(5), q2=P(7)), OutOfRange),
-        (lambda: charsums.TCharParams(n=1, m=np.ones((2, 2), dtype=int), h=1, q1=P(3), q1t=P(5), q2=P(7)), OutOfRange),
+        (lambda: charsums.TCharParams(n=np.array([1.0, 2.0]), m=1, h=1, q1=P(3), q1t=P(5), q2=P(7)), OutOfRange),
+        (lambda: charsums.TCharParams(n=1, m=1, h=np.array([1, 2.5]), q1=P(3), q1t=P(5), q2=P(7)), OutOfRange),
+        (lambda: charsums.TCharParams(n=np.arange(2), m=np.arange(3), h=1, q1=P(3), q1t=P(5), q2=P(7)), OutOfRange),
+        (lambda: charsums.char_sum_S_factored(1, np.arange(3), np.arange(2), 1, 3, 5), OutOfRange),
         (lambda: charsums.SCensusFamily(primes=(3, 5), m2_max=2.5), OutOfRange),
         (lambda: charsums.SCensusFamily(primes=(3.0, 5)), OutOfRange),
         (lambda: charsums.SCensusFamily(primes=(3, 15)), InvalidDivisor),
@@ -148,7 +151,10 @@ def _approximant(delta):
         "t_params_n_not_integer",
         "t_census_n_not_integer",
         "t_params_m_float_array",
-        "t_params_m_2d_array",
+        "t_params_n_float_array",
+        "t_params_h_float_array",
+        "t_params_shapes_do_not_broadcast",
+        "s_factored_shapes_do_not_broadcast",
         "s_family_m2_max_not_integer",
         "s_family_prime_not_integer",
         "s_family_prime_composite",
