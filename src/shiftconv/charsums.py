@@ -426,8 +426,9 @@ def _census_t(family: TCensusFamily) -> ExperimentReport:
         ns, hs = (np.array([x % q for x in xs], dtype=np.int64) for xs in (family.n_values, family.h_values))
         params = TCharParams(ns[:, None, None], m, hs[:, None], *map(PrimeModulus, (q1, q1t, q2)))
         v = np.abs(char_sum_T(params))
-        vanish_checked += v[..., vanish].size
-        vanish_passed += int((v[..., vanish] < char_sum_T_tolerance(params)).sum())
+        if vanish.any():  # the tolerance rebuilds the alpha-factors, so only where it is read
+            vanish_checked += v[..., vanish].size
+            vanish_passed += int((v[..., vanish] < char_sum_T_tolerance(params)).sum())
         v, m, norm = v[..., ~vanish], m[~vanish], norm[~vanish]
         for (i, n), (j, h) in itertools.product(enumerate(family.n_values), enumerate(family.h_values)):
             rep.add(q1=q1, q1t=q1t, q2=q2, n=n, m=m, h=h, abs_sum=v[i, j], normalizer=norm, ratio=v[i, j] / norm)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import primes_in_dyadic
-from .errors import OutOfRange, OverlappingRanges
+from .arith import is_prime, primes_in_dyadic
+from .errors import EmptyRange, InvalidDivisor, OutOfRange, OverlappingRanges
 from .reports import ExperimentReport
 from .util import as_index
 
@@ -49,12 +49,30 @@ _TAIL_BLOCK = 32
 
 @dataclass(frozen=True)
 class ModuliSet:
-    """The products P1 x P2 of primes from [Q1, 2Q1] and [Q2, 2Q2]."""
+    """The products P1 x P2 of primes from [Q1, 2Q1] and [Q2, 2Q2].
+
+    Checked at construction, as the tail of l2_error, _ramanujan_rows and L
+    assume P1 and P2 are disjoint sets of primes: Q1 and Q2 must be integers
+    (else OutOfRange) whose segments do not meet (else OverlappingRanges),
+    P1 and P2 must be non-empty (else EmptyRange), and each must hold
+    distinct primes of its own segment in ascending order (else
+    InvalidDivisor).  The fields are stored as given.
+    """
 
     Q1: int
     Q2: int
     P1: tuple  # ascending primes of [Q1, 2Q1]
     P2: tuple  # ascending primes of [Q2, 2Q2]
+
+    def __post_init__(self):
+        Q1, Q2 = as_index(self.Q1, "Q1"), as_index(self.Q2, "Q2")
+        if not (2 * Q1 < Q2 or 2 * Q2 < Q1):
+            raise OverlappingRanges(f"[{Q1},{2 * Q1}] and [{Q2},{2 * Q2}] intersect")
+        for name, Q, ps in (("P1", Q1, self.P1), ("P2", Q2, self.P2)):
+            if len(ps) == 0:
+                raise EmptyRange(f"{name} is empty")
+            if not (all(is_prime(p) and Q <= p <= 2 * Q for p in ps) and all(a < b for a, b in zip(ps, ps[1:]))):
+                raise InvalidDivisor(f"{name} must be ascending distinct primes of [{Q}, {2 * Q}], got {ps!r}")
 
     @property
     def members(self) -> tuple:
@@ -75,8 +93,6 @@ class ModuliSet:
 def build_moduli_set(Q1: int, Q2: int, h: int) -> ModuliSet:
     """P1 x P2 from the primes of [Q1, 2Q1] and [Q2, 2Q2] not dividing h."""
     Q1, Q2, h = as_index(Q1, "Q1"), as_index(Q2, "Q2"), as_index(h, "h")
-    if not (2 * Q1 < Q2 or 2 * Q2 < Q1):
-        raise OverlappingRanges(f"[{Q1},{2 * Q1}] and [{Q2},{2 * Q2}] intersect")
     return ModuliSet(Q1=Q1, Q2=Q2, P1=primes_in_dyadic(Q1, h), P2=primes_in_dyadic(Q2, h))
 
 
@@ -160,15 +176,21 @@ def _multiples_tail(N: int, D) -> np.ndarray:
 
     With K = floor(N/D), S(N, D) = D^-2 sum_{k > K} k^-2, which is below
     1 / (D^2 K) for K >= 1 and equals zeta(2) / D^2 for K = 0 (D > N).
+    D holds integers (ints or integral floats) with N + D < 2^53, which
+    l2_error enforces.  Then the floor of one rounded division is K exactly,
+    and far cheaper than a float floor division: N / D could round up to
+    K + 1 only from within (K + 1) 2^-53 of it, but it lies at least 1/D
+    below, and D (K + 1) <= N + D < 2^53.
     """
-    K = N // D
+    K = np.floor(N / D)
     return np.where(K > 0, 1.0 / np.maximum(K, 1), math.pi ** 2 / 6.0) / (D * D)
 
 
 def l2_error(A: Approximant, n_max: int) -> L2Error:
     """sum_{0 < |n| <= n_max} |a_n|^2 plus an explicit tail majorant.
 
-    n_max must be an integer (numpy integers included) of at least 1/delta.
+    n_max must be an integer (numpy integers included) of at least 1/delta,
+    with n_max + Q^2 < 2^53 for the tail (Q = max_modulus).
     The partial sum runs over windows of _L2_CHUNK = 2^16 n, each with its
     own sieved Ramanujan rows, so memory does not grow with n_max.  With
     theta = 2 pi delta, a_n = row_n sin(theta n) / (L theta n); the window
@@ -188,13 +210,22 @@ def l2_error(A: Approximant, n_max: int) -> L2Error:
 
     with S(N, D) = sum_{n > N, D | n} n^-2 <= 1 / (D^2 floor(N/D)) for
     D <= N and S(N, D) = zeta(2) / D^2 for D > N (_multiples_tail).  The
-    lcm matrix is built in blocks of _TAIL_BLOCK rows of d, in floats so no
-    int64 can overflow; each row is summed over d' and the rows are added
-    in order of d.
+    values come from the prime sets, not the members: P1 and P2 are disjoint
+    sets of primes, so each d is one product a b, a in {1} u P1 and
+    b in {1} u P2, taken in ascending order; its multiplicity is |P1| |P2|,
+    |P2|, |P1| or 1 as d is 1, q1, q2 or q; and
+
+        lcm(d, d') = (a if a = a' else a a') (b if b = b' else b b'),
+
+    with no gcd.  The lcm matrix is built in blocks of _TAIL_BLOCK rows of
+    d, in floats so no int64 can overflow; each row is summed over d' and
+    the rows are added in order of d.
     """
     n_max = as_index(n_max, "n_max")
     if n_max < 1.0 / A.delta:
         raise OutOfRange("need n_max >= 1/delta")
+    if n_max + A.moduli.max_modulus ** 2 >= 2**53:  # every lcm is at most Q^2
+        raise OutOfRange("need n_max + Q^2 < 2^53, so the tail's floats stay exact integers")
     L, delta = A.moduli.L, A.delta
     theta = 2.0 * math.pi * delta
     angles = theta * np.arange(min(n_max, _L2_CHUNK))
@@ -208,13 +239,15 @@ def l2_error(A: Approximant, n_max: int) -> L2Error:
         row /= theta * np.arange(lo, lo + count, dtype=float)
         total += float(np.einsum("i,i->", row, row))
     partial = 2.0 * total / L**2
-    d, mult = np.unique(np.insert(np.array(A.moduli.members), 0, 1, axis=1), return_counts=True)
-    w = (d * mult).astype(float)
-    dw = d.astype(float)
+    P1, P2 = A.moduli.P1, A.moduli.P2
+    # d = a b ascending; w_d = (a, or |P1| at a = 1) (b, or |P2| at b = 1)
+    ia, ib = np.divmod(np.argsort(np.outer((1, *P1), (1, *P2)), axis=None), len(P2) + 1)
+    a, b = np.array((1, *P1), dtype=float)[ia], np.array((1, *P2), dtype=float)[ib]
+    w = (np.array((len(P1), *P1))[ia] * np.array((len(P2), *P2))[ib]).astype(float)
     tail = 0.0
-    for i in range(0, len(d), _TAIL_BLOCK):
-        di = d[i : i + _TAIL_BLOCK, None]
-        lcm = (di // np.gcd(di, d)) * dw
+    for i in range(0, len(a), _TAIL_BLOCK):
+        ai, bi = a[i : i + _TAIL_BLOCK, None], b[i : i + _TAIL_BLOCK, None]
+        lcm = np.where(ai == a, a, ai * a) * np.where(bi == b, b, bi * b)
         rows = np.sum(w * _multiples_tail(n_max, lcm), axis=1)
         for term in (w[i : i + _TAIL_BLOCK] * rows).tolist():
             tail += term
@@ -240,7 +273,8 @@ def quadrature_l2_error(A: Approximant, step: float) -> float:
 
 def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 500.0) -> ExperimentReport:
     """Sweep (Q1, Q2) anchors and delta = Q^e; one record per combination,
-    one report block per anchor.
+    one report block per anchor.  An anchor that is not a tuple or list of
+    two raises OutOfRange.
 
     Records L / Q^2 alongside the normalized error ratio: desk-scale prime
     counts make the density |Q| >> Q^(1-eps) unattainable, so it is reported
@@ -249,6 +283,8 @@ def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 
     _check_positive_real(n_max_factor, "n_max_factor")
     # lists once, so a one-shot iterator is not emptied by the check or config
     anchors, delta_exponents = list(anchors), list(delta_exponents)
+    if not all(isinstance(a, (tuple, list)) and len(a) == 2 for a in anchors):
+        raise OutOfRange(f"anchors must be (Q1, Q2) pairs, got {anchors!r}")
     if not all(isinstance(e, numbers.Real) for e in delta_exponents):
         raise OutOfRange(f"delta_exponents must be real numbers, got {delta_exponents!r}")
     cols = ["Q1", "Q2", "delta", "L", "density", "error", "bound", "ratio"]

@@ -781,6 +781,25 @@ class TestBoundCensus:
         assert checked == passed
         assert (checked == 0) == diagonal  # the vanishing laws are off the diagonal only
 
+    def test_tolerance_only_where_a_tuple_vanishes(self, monkeypatch):
+        # the census_large_q families (m_max below every q1) have no
+        # vanishing tuple; (3, 11, 13) with m_max = 10 has one in the (3, 11)
+        # and (3, 13) triples only
+        large = dict(q1_primes=(17, 19, 23), q2_primes=(29,), m_max=5)
+        mixed = cs.TCensusFamily(q1_primes=(3, 11, 13), q2_primes=(7,), m_max=10)
+        _, checked, passed = scalar_census_t(mixed)
+        calls = []
+        tolerance = cs.char_sum_T_tolerance
+        monkeypatch.setattr(cs, "char_sum_T_tolerance", lambda p: calls.append(p) or tolerance(p))
+        for diagonal in (False, True):
+            rep = cs.bound_census(cs.TCensusFamily(**large, diagonal=diagonal))
+            assert rep.records and calls == []
+            assert rep.summary["vanish_checked"] == rep.summary["vanish_passed"] == 0
+        rep = cs.bound_census(mixed)
+        assert [(p.q1.p, p.q1t.p, p.q2.p) for p in calls] == [(3, 11, 7), (3, 13, 7)]
+        assert (rep.summary["vanish_checked"], rep.summary["vanish_passed"]) == (checked, passed)
+        assert 0 < checked == passed
+
     def test_empty_family(self):
         fam = cs.SCensusFamily(primes=(), m2_max=0, n_max=0, h_max=0)
         rep = cs.bound_census(fam)

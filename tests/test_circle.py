@@ -238,12 +238,40 @@ class TestL2Error:
         n_max = int(500 / A.delta)
         assert circle.l2_error(A, n_max).tail_bound == pytest.approx(oracle_tail(A, n_max), rel=1e-12)
 
-    @pytest.mark.parametrize("Q1,Q2", [(30, 200), (3, 11), (5, 23), (10, 60)])
-    def test_tail_equals_row_loop(self, Q1, Q2):
-        ms = circle.build_moduli_set(Q1, Q2, 1)
-        A = circle.Approximant(moduli=ms, delta=1.0 / ms.max_modulus)
+    # (Q1, Q2, h, e) with delta = Q^e; h drops primes from the sets: 11, 13
+    # from [10, 20] and 61, 67 from [60, 120], or 37 and 211
+    TAIL_CASES = {
+        "30-200": (30, 200, 1, -1.0),
+        "3-11": (3, 11, 1, -1.0),
+        "5-23": (5, 23, 1, -1.0),
+        "10-60": (10, 60, 1, -1.0),
+        "3-11-delta_Q^-1.5": (3, 11, 1, -1.5),
+        "5-23-delta_Q^-1.5": (5, 23, 1, -1.5),
+        "10-60-delta_Q^-1.5": (10, 60, 1, -1.5),
+        "10-60-h_11.13.61.67": (10, 60, 11 * 13 * 61 * 67, -1.0),
+        "10-60-h_11.13.61.67-delta_Q^-1.5": (10, 60, 11 * 13 * 61 * 67, -1.5),
+        "30-200-h_37.211": (30, 200, 37 * 211, -1.0),
+    }
+
+    @pytest.mark.parametrize("Q1,Q2,h,e", TAIL_CASES.values(), ids=TAIL_CASES.keys())
+    def test_tail_equals_row_loop(self, Q1, Q2, h, e):
+        ms = circle.build_moduli_set(Q1, Q2, h)
+        A = circle.Approximant(moduli=ms, delta=float(ms.max_modulus) ** e)
         n_max = int(50 / A.delta)
         assert circle.l2_error(A, n_max).tail_bound == row_loop_tail(A, n_max)
+
+    @pytest.mark.parametrize("N", [1, 100, 1_200_000, 2**40 + 15, 2**52 - 3])
+    def test_multiples_tail_floor_is_exact(self, N):
+        # K = floor(N / D) against Python's integer floor division, at D
+        # that divide N, lie one off a divisor or a multiple, and reach the
+        # largest D with N + D < 2^53
+        ds = {1, 2, 3, 7, N - 1, N, N + 1, 2 * N - 1, 2 * N + 1, 2**53 - 1 - N}
+        ds |= {N // k + j for k in (2, 3, 7, 1000, 99991) for j in (-1, 0, 1)}
+        ds = sorted(d for d in ds if 1 <= d and N + d < 2**53)
+        K = np.array([N // d for d in ds], dtype=float)
+        D = np.array(ds, dtype=float)
+        want = np.where(K > 0, 1.0 / np.maximum(K, 1), math.pi**2 / 6.0) / (D * D)
+        assert np.array_equal(circle._multiples_tail(N, D), want)
 
     # n_max below one window, at two full windows and one past them; at
     # delta = Q^-1.5 the period 1/delta of the sine is not an integer, so

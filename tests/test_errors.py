@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shiftconv import arith, charsums, circle, coeffs
-from shiftconv.errors import InvalidDivisor, OutOfRange, ShiftconvError
+from shiftconv.errors import EmptyRange, InvalidDivisor, OutOfRange, OverlappingRanges, ShiftconvError
 from shiftconv.reports import ExperimentReport
 
 P = arith.PrimeModulus
@@ -12,6 +12,11 @@ P = arith.PrimeModulus
 
 def _approximant(delta):
     return circle.Approximant(moduli=circle.build_moduli_set(3, 11, 1), delta=delta)
+
+
+def _wide_approximant():
+    ms = circle.ModuliSet(Q1=2, Q2=12_000_000, P1=(3,), P2=(12_000_017,))
+    return circle.Approximant(moduli=ms, delta=8.0 / ms.max_modulus)
 
 
 @pytest.mark.parametrize(
@@ -118,6 +123,21 @@ def _approximant(delta):
             ),
             OutOfRange,
         ),
+        (lambda: circle.ModuliSet(Q1=3, Q2=5, P1=(3, 5), P2=(5, 7)), OverlappingRanges),
+        (lambda: circle.ModuliSet(Q1=3, Q2=11, P1=(4, 5), P2=(11,)), InvalidDivisor),
+        (lambda: circle.ModuliSet(Q1=3, Q2=11, P1=(), P2=(11,)), EmptyRange),
+        (lambda: circle.ModuliSet(Q1=3, Q2=11, P1=(3,), P2=()), EmptyRange),
+        (lambda: circle.ModuliSet(Q1=3, Q2=11, P1=(5, 3), P2=(11,)), InvalidDivisor),
+        (lambda: circle.ModuliSet(Q1=3, Q2=11, P1=(3, 3), P2=(11,)), InvalidDivisor),
+        (lambda: circle.ModuliSet(Q1=3, Q2=11, P1=(3, 7), P2=(11,)), InvalidDivisor),
+        (lambda: circle.ModuliSet(Q1=3, Q2=11, P1=(3,), P2=(5,)), InvalidDivisor),
+        (lambda: circle.ModuliSet(Q1=3.0, Q2=11, P1=(3,), P2=(11,)), OutOfRange),
+        (lambda: circle.ModuliSet(Q1=3, Q2=11, P1=(3.0,), P2=(11,)), OutOfRange),
+        (lambda: circle.l2_error_census([(3, 11, 5)], [-1.0]), OutOfRange),
+        (lambda: circle.l2_error_census([(3,)], [-1.0]), OutOfRange),
+        (lambda: circle.l2_error_census([3], [-1.0]), OutOfRange),
+        # Q = 4 * 2 * 12,000,000, so every n_max >= 1/delta = Q/8 meets Q^2 > 2^53
+        (lambda: circle.l2_error(_wide_approximant(), 12_000_000), OutOfRange),
     ],
     ids=[
         "weight12_N_below_1",
@@ -197,6 +217,20 @@ def _approximant(delta):
         "l2_census_delta_exponent_string",
         "t1_closed_form_m_array",
         "t1_closed_form_m_length_one_array",
+        "moduli_set_segments_overlap",
+        "moduli_set_P1_composite",
+        "moduli_set_P1_empty",
+        "moduli_set_P2_empty",
+        "moduli_set_P1_descending",
+        "moduli_set_P1_repeated",
+        "moduli_set_P1_prime_outside_segment",
+        "moduli_set_P2_prime_of_other_segment",
+        "moduli_set_Q1_not_integer",
+        "moduli_set_P1_prime_not_integer",
+        "l2_census_anchor_triple",
+        "l2_census_anchor_single",
+        "l2_census_anchor_not_sequence",
+        "l2_error_tail_past_2_pow_53",
     ],
 )
 def test_bad_input_raises_package_error(call, error):
