@@ -12,6 +12,8 @@ are cached, read-only and typed, so a float p never reads an integer's entry.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -107,6 +109,18 @@ def kloosterman_table(p: int) -> np.ndarray:
     return k
 
 
+def primes_between(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi] (lo >= 2), ascending: a sieve of the segment
+    that strikes, for each d <= sqrt(hi), its multiples from max(d^2, lo) on
+    (a composite d strikes only composites).  A bytearray, not numpy: a
+    first numpy sieve in a process touches ~0.3 MB more of resident memory."""
+    keep = bytearray([1]) * max(hi - lo + 1, 0)
+    for d in range(2, math.isqrt(hi) + 1):
+        start = max(d * d, -(-lo // d) * d) - lo
+        keep[start::d] = bytes(len(range(start, len(keep), d)))
+    return list(itertools.compress(range(lo, hi + 1), keep))
+
+
 def primes_in_dyadic(Q: int, exclude: int) -> tuple[int, ...]:
     """The primes p in [Q, 2Q] with p not dividing exclude, ascending, as ints.
 
@@ -116,7 +130,7 @@ def primes_in_dyadic(Q: int, exclude: int) -> tuple[int, ...]:
     Q, exclude = as_index(Q, "Q"), as_index(exclude, "exclude")
     if Q < 2:
         raise OutOfRange("need Q >= 2")
-    ps = tuple(p for p in range(Q, 2 * Q + 1) if is_prime(p) and (exclude == 0 or exclude % p != 0))
+    ps = tuple(p for p in primes_between(Q, 2 * Q) if exclude == 0 or exclude % p != 0)
     if not ps:
         raise EmptyRange(f"no admissible prime in [{Q}, {2 * Q}] excluding {exclude}")
     return ps

@@ -34,10 +34,11 @@ Each sum has one evaluator per use:
                           scatter of the Kloosterman row and one length-p
                           inverse FFT per (n, h), read at every m2, so a
                           whole row in m2 costs O(p) memory;
-                          the S census calls it once per (q1, q2, m1)
-                          block on its whole (n, h, m2) grid and appends
-                          the block to its report as columns, one array
-                          per field;
+                          the S census calls it once per (q1, q2), with
+                          the four m1 as a tuple, on its whole (n, h, m2)
+                          grid, so each prime factor is built once, and
+                          appends one block per m1 to its report as
+                          columns, one array per field;
     char_sum_T            built from the same per-prime factors of S: by
                           CRT the alpha-sum splits into one sum mod each
                           prime, and one batched length-r inverse FFT per
@@ -54,6 +55,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +93,9 @@ class TCharParams:
     n, m (the dual frequency) and h are ints or int arrays that broadcast
     together, stored as given, and char_sum_T returns T at each (n, h, m); a
     non-integer raises OutOfRange.  q1 = q1t is permitted (the two inner S
-    then share a modulus); q2 must differ from both.
+    then share a modulus); q2 must differ from both.  The alpha-factors are
+    built on first use and kept by the instance, so char_sum_T and
+    char_sum_T_tolerance at the same parameters build them once.
     """
 
     n: int | np.ndarray
@@ -105,6 +109,12 @@ class TCharParams:
         _residues(self.q1.p * self.q1t.p * self.q2.p, self.n, self.m, self.h)
         if self.q2.p in (self.q1.p, self.q1t.p):
             raise InvalidDivisor("q2 must avoid {q1, q1t}")
+
+    @cached_property
+    def _factors(self):
+        """_t_factors at the residues of n and h, as arrays of at least one axis."""
+        n, h = (np.atleast_1d(x) for x in _residues(self.q1.p * self.q1t.p * self.q2.p, self.n, self.h))
+        return _t_factors(self, n, h)
 
 
 def _residues(q: int, *xs) -> list[np.ndarray]:
@@ -152,24 +162,30 @@ def char_sum_S_factored(
     b-sum is itself a Kloosterman sum).  Equals char_sum_S.
 
     m2, n and h may be integers or integer arrays and broadcast against each
-    other; m1, q1 and q2 are integers.  The result has the broadcast shape,
-    and a call with three scalars returns a complex.  Non-integer m2, n or h,
-    or shapes that do not broadcast, raise OutOfRange.
+    other; q1 and q2 are integers.  The result has the broadcast shape, and a
+    call with three scalars returns a complex.  m1 may also be a tuple of
+    divisors of q: the result then has one more leading axis, over m1, and
+    each prime factor is built once for all of them.  Non-integer m1, m2, n
+    or h, or shapes that do not broadcast, raise OutOfRange.
     """
     if q1 == q2 or not (is_prime(q1) and is_prime(q2)):
         raise InvalidDivisor(f"q1 and q2 must be distinct primes, got {q1} and {q2}")
     q = q1 * q2
-    m1 = as_index(m1, "m1")
-    if m1 < 1 or q % m1:
+    m1s = tuple(as_index(d, "m1") for d in (m1 if isinstance(m1, tuple) else (m1,)))
+    if any(d < 1 or q % d for d in m1s):
         raise InvalidDivisor(f"m1={m1} does not divide q={q}")
     m2, n, h = _residues(q, m2, n, h)
-    val = np.ones(np.broadcast_shapes(m2.shape, n.shape, h.shape), dtype=complex)
-    val = val * _prime_factor(q1, q2, m1, m2, n, h) * _prime_factor(q2, q1, m1, m2, n, h)
-    return complex(val) if val.ndim == 0 else val
+    ones = np.ones(np.broadcast_shapes(m2.shape, n.shape, h.shape), dtype=complex)
+    f1s, f2s = _prime_factor(q1, q2, m1s, m2, n, h), _prime_factor(q2, q1, m1s, m2, n, h)
+    vals = [ones * f1 * f2 for f1, f2 in zip(f1s, f2s)]
+    if isinstance(m1, tuple):
+        return np.stack(vals)
+    return complex(vals[0]) if vals[0].ndim == 0 else vals[0]
 
 
-def _prime_factor(p, c, m1, m2, n, h):
-    """The factor of S at the prime p with cofactor c, on int64 arrays.
+def _prime_factor(p, c, m1s, m2, n, h):
+    """The factors of S at the prime p with cofactor c, one per m1 in m1s, on
+    int64 arrays.
 
     With hr = cbar h and nr = -cbar n, the factor is S(hr, nr; p) when p | m1,
     and otherwise
@@ -184,18 +200,24 @@ def _prime_factor(p, c, m1, m2, n, h):
 
     so with w[ybar] = S(hr, nr + y; p) (and w[0] = 0), F = p ifft(w) holds F
     at every m mod p: one scatter of the Kloosterman row and one length-p
-    inverse FFT per (n, h), in O(p) memory each, read at each m.
+    inverse FFT per (n, h), in O(p) memory each, read at each m.  One read
+    of the Kloosterman row gives S(hr, nr + y; p) at y = 0 (the factor when
+    p | m1) and, if some m1 in m1s needs F, at every y; m1 only picks one of
+    the two or F's read index, so each is built once for all of m1s.
     """
     cb = pow(c, -1, p)
     # residues mod p first, so no int64 product can wrap
     hr, nr = cb * (h % p) % p, -cb * (n % p) % p
-    if m1 % p == 0:
-        return _kloosterman(p, hr, nr)
-    m = cb * cb % p * (m2 % p) % p if m1 == 1 else m2 % p
-    w = np.zeros(np.broadcast_shapes(hr.shape, nr.shape) + (p,), dtype=complex)
-    w[..., unit_inverses(p)[1:]] = _kloosterman(p, hr[..., None], (nr[..., None] + np.arange(1, p)) % p)
+    ys = np.arange(p if any(m1 % p for m1 in m1s) else 1)
+    ks = _kloosterman(p, hr[..., None], (nr[..., None] + ys) % p)  # S(hr, nr + y; p)
+    if len(ys) == 1:
+        return [ks[..., 0]] * len(m1s)
+    w = np.zeros(ks.shape, dtype=complex)
+    w[..., unit_inverses(p)[1:]] = ks[..., 1:]
     # sparse (n, h) indices broadcast against m as the arguments did
-    return (p * np.fft.ifft(w))[(*np.indices(w.shape[:-1], sparse=True), m)]
+    row, nh = p * np.fft.ifft(w), np.indices(w.shape[:-1], sparse=True)
+    m = {1: cb * cb % p * (m2 % p) % p, c: m2 % p}  # F's read index at m1 = 1 and at m1 = c
+    return [ks[..., 0] if m1 % p == 0 else row[(*nh, m[m1])] for m1 in m1s]
 
 
 def _kloosterman(p, a, b):
@@ -210,7 +232,8 @@ def _t_factors(p: TCharParams, n: np.ndarray, h: np.ndarray):
     CRT, S(1, alpha, n, h; q1 q2) = A_q1(alpha mod q1) A_q2(alpha mod q2)."""
     q1, q1t, q2, n, h = p.q1.p, p.q1t.p, p.q2.p, n[..., None], h[..., None]
     # one _prime_factor call per distinct (r, cofactor): two on the diagonal
-    pairs = {q: [_prime_factor(r, c, 1, np.arange(r), n, h) for r, c in ((q, q2), (q2, q))] for q in {q1, q1t}}
+    pairs = {q: [_prime_factor(r, c, (1,), np.arange(r), n, h)[0] for r, c in ((q, q2), (q2, q))]
+             for q in {q1, q1t}}
     return pairs[q1], pairs[q1t]
 
 
@@ -233,8 +256,8 @@ def char_sum_T(p: TCharParams) -> complex | np.ndarray:
     q1, q1t, q2 = p.q1.p, p.q1t.p, p.q2.p
     res = _residues(q1 * q1t * q2, p.n, p.m, p.h)
     # one array path for scalars too, so a scalar call gets the array's bits
-    n, m, h = (np.atleast_1d(x) for x in res)
-    (a1, a2), (b1, b2) = _t_factors(p, n, h)
+    m = np.atleast_1d(res[1])
+    (a1, a2), (b1, b2) = p._factors
     if q1 == q1t:
         scale, m, terms = q1 * (m % q1 == 0), m // q1, [(q1, np.abs(a1) ** 2), (q2, np.abs(a2) ** 2)]
     else:
@@ -257,9 +280,9 @@ def char_sum_T_tolerance(p: TCharParams) -> float | np.ndarray:
     multiple of epsilon B: below 0.4 epsilon B on the vanishing laws, so the
     factor 16 leaves a wide margin; a T that does not vanish is far larger.
     """
-    n, h = _residues(p.q1.p * p.q1t.p * p.q2.p, p.n, p.h)
-    sa, sb = (np.abs(u).max(axis=-1) * np.abs(v).max(axis=-1) for u, v in _t_factors(p, n, h))
-    return 16 * np.finfo(float).eps * p.q1.p * p.q1t.p * p.q2.p * sa * sb
+    sa, sb = (np.abs(u).max(axis=-1) * np.abs(v).max(axis=-1) for u, v in p._factors)
+    tol = 16 * np.finfo(float).eps * p.q1.p * p.q1t.p * p.q2.p * sa * sb
+    return tol[0] if np.ndim(p.n) == np.ndim(p.h) == 0 else tol
 
 
 def t1_closed_form(p: TCharParams, which: str = "q1") -> complex:
@@ -393,8 +416,10 @@ def _census_s(family: SCensusFamily) -> ExperimentReport:
         ns, hs = n_box[np.gcd(n_box, q) == 1], h_box[np.gcd(h_box, q) == 1]
         # one block per m1 on axes (n, h, m2), flattened in record order
         n, h, m2 = (g.ravel() for g in np.meshgrid(ns, hs, m2s, indexing="ij"))
-        for m1 in (1, q1, q2, q):
-            abs_sum = np.abs(char_sum_S_factored(m1, m2s, ns[:, None, None], hs[:, None], q1, q2)).ravel()
+        # each prime factor built once for the four m1
+        blocks = np.abs(char_sum_S_factored((1, q1, q2, q), m2s, ns[:, None, None], hs[:, None], q1, q2))
+        for m1, block in zip((1, q1, q2, q), blocks):
+            abs_sum = block.ravel()
             norm = np.tile(q / math.sqrt(m1) * np.sqrt(np.gcd(q // m1, m2s)), len(ns) * len(hs))
             rep.add(q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h, abs_sum=abs_sum, normalizer=norm, ratio=abs_sum / norm)
         log.debug("S census (q1, q2) = (%d, %d): %d rows, %.3f s", q1, q2, len(rep), time.perf_counter() - t0)
@@ -426,7 +451,7 @@ def _census_t(family: TCensusFamily) -> ExperimentReport:
         ns, hs = (np.array([x % q for x in xs], dtype=np.int64) for xs in (family.n_values, family.h_values))
         params = TCharParams(ns[:, None, None], m, hs[:, None], *map(PrimeModulus, (q1, q1t, q2)))
         v = np.abs(char_sum_T(params))
-        if vanish.any():  # the tolerance rebuilds the alpha-factors, so only where it is read
+        if vanish.any():  # the tolerance reads the alpha-factors that char_sum_T built in params
             vanish_checked += v[..., vanish].size
             vanish_passed += int((v[..., vanish] < char_sum_T_tolerance(params)).sum())
         v, m, norm = v[..., ~vanish], m[~vanish], norm[~vanish]

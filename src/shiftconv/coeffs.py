@@ -7,12 +7,8 @@ eta-product expansion
     q * prod_{n>=1} (1 - q^n)^24 = q * (sum_k (-1)^k (2k+1) q^{k(k+1)/2})^8,
 
 using Jacobi's cube identity for prod(1-q^n)^3.  Three squarings of that
-series by Kronecker substitution give a(n) exactly.  Each squaring packs the
-series into one big integer, w bits per coefficient.  By Cauchy-Schwarz every
-coefficient the square keeps is at most B, the sum of the squared input
-coefficients, in absolute value, so w with B < 2^(w-1) holds them all; no
-bound on a(n) is assumed.  weight12_integer_coefficients takes the least such
-whole-byte w before each squaring.
+series give a(n) exactly, each by real FFTs on balanced int64 limbs, with
+Python ints built once at the end (weight12_integer_coefficients).
 
 The degree-3 table is the symmetric-square lift: at a prime p with Satake
 parameters {a, 1/a} (so lambda2(p) = a + 1/a), the lift has parameters
@@ -42,78 +38,97 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import factorize
+from .arith import factorize, primes_between
 from .errors import InsufficientBase, OutOfRange, UnsupportedWeight
 from .util import as_index
 
-# Caps run time and memory.  No slot can overflow at any N: each width is
-# sized from the series it squares.
+# Caps run time and memory: a squaring holds ~K x M x 16 B of limbs and spectra
+# (K limbs, M = 2^ceil(log2(2N - 1))); tracemalloc peak 72 MB at N = 2 * 10^5.
 _MAX_N = 3_000_000
 
 
 def _eta_cube_terms(length):
     """Coefficients of prod(1-q^n)^3 below degree `length` (Jacobi's identity)."""
-    series = [0] * length
-    k = 0
-    while k * (k + 1) // 2 < length:
-        series[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-        k += 1
+    k = np.arange((math.isqrt(8 * length - 7) + 1) // 2)  # every k with k(k+1)/2 < length
+    series = np.zeros(length, dtype=np.int64)
+    series[k * (k + 1) // 2] = (1 - 2 * (k & 1)) * (2 * k + 1)
     return series
 
 
-def _slot_bits(coeffs):
-    """Smallest whole-byte width w with sum(c^2) < 2^(w-1)."""
-    return 8 * (sum(c * c for c in coeffs).bit_length() // 8 + 1)
+def _limb_count(bound, bits):
+    """Least K with bound < 2^(bits K - 2), so K limbs hold every |c| <= bound."""
+    return -(-(bound.bit_length() + 2) // bits)
 
 
-def _offset(length, bits):
-    """2^(bits-1) in each of `length` slots of `bits` bits."""
-    return int.from_bytes((1 << (bits - 1)).to_bytes(bits // 8, "little") * length, "little")
+def _rounding_bound(N, M, bits, K):
+    """Error bound of a diagonal of K products of limbs with |x|^2 <= N 4^(bits-1):
+    K times Percival's bound for one FFT product of length M = 2^m (Math. Comp.
+    72 (2003) 387-395, Thm 5.1), |x|^2 ((1+e)^3m (1+e sqrt5)^(3m+1) (1+b)^3m - 1),
+    e = b = 2^-53, with K roundings more for the spectra's sum; (1+x)^j <= e^(jx)."""
+    m = M.bit_length() - 1
+    return K * N * 4.0 ** (bits - 1) * math.expm1((6 * m + K + (3 * m + 1) * 5 ** 0.5) * 2.0 ** -53)
 
 
-def _encode(coeffs, bits):
-    """sum_i coeffs[i] 2^(bits i), each |coeffs[i]| < 2^(bits-1)."""
-    size, half = bits // 8, 1 << (bits - 1)
-    raw = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
-    return int.from_bytes(raw, "little") - _offset(len(coeffs), bits)
+def _limb_bits(N, M, top):
+    """Widest limb whose rounding bound stays below 1/4 for series bounded by top."""
+    return max((b for b in range(3, 63) if _rounding_bound(N, M, b, _limb_count(top, b)) < 0.25), default=2)
 
 
-def _decode(value, length, bits):
-    """Signed slot coefficients (|c| < 2^(bits-1)) of value mod 2^(bits length)."""
-    size, half = bits // 8, 1 << (bits - 1)
-    value = (value + _offset(length, bits)) & ((1 << (bits * length)) - 1)
-    raw = value.to_bytes(length * size, "little")
-    return [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
+def _carry(diagonals, bits, K):
+    """Balanced limbs, |d| <= 2^(bits-1), of sum_k diagonals[k] 2^(bits k) mod 2^(bits K)."""
+    limbs, carry, half = np.empty((K, len(diagonals[0])), dtype=np.int64), 0, 1 << (bits - 1)
+    for k in range(K):
+        t = carry + diagonals[k] if k < len(diagonals) else carry
+        limbs[k] = ((t + half) & (2 * half - 1)) - half
+        carry = (t - limbs[k]) >> bits
+    return limbs
+
+
+def _square(limbs, M, bits, K):
+    """The low N coefficients of the square of the series in `limbs` (shape
+    (n, N)), as K limbs; a rounding residual above 1/4 raises FloatingPointError."""
+    n, spec, diagonals = len(limbs), np.fft.rfft(limbs, n=M), []
+    for k in range(min(K, 2 * n - 1)):  # diagonals from K on vanish mod 2^(bits K)
+        acc = sum(spec[s] * spec[k - s] * (2 - (2 * s == k)) for s in range(max(0, k - n + 1), k // 2 + 1))
+        y = np.fft.irfft(acc, n=M)[: limbs.shape[1]]
+        diagonals.append(np.rint(y).astype(np.int64))
+        if (err := np.abs(y - diagonals[-1]).max()) > 0.25:
+            raise FloatingPointError(f"FFT rounding residual {err:.3g} above 1/4")
+    return _carry(diagonals, bits, K)
 
 
 def weight12_integer_coefficients(N: int) -> list[int]:
     """a(1..N) of the weight-12 form, exact integers.
 
-    Three Kronecker squarings take the eta-cube series to eta^6, eta^12 and
-    (eta^3)^8 = eta^24, each kept to its low N coefficients.  Before each
-    squaring the series a_0..a_{N-1} is encoded in slots of w bits, w the
-    smallest whole number of bytes with B = sum a_i^2 < 2^(w-1).  That width
-    is exact: every kept coefficient of the square satisfies, by
-    Cauchy-Schwarz,
-
-        |sum_{i+j=n} a_i a_j| <= sum_{i<=n} a_i^2 <= B    (n < N),
-
-    so each slot holds c + 2^(w-1) in [0, 2^w) and the offset decode of the
-    product mod 2^(w N) (a mask, not CPython's quadratic `%`) returns the
-    coefficients, which are re-encoded at the next width.  N beyond _MAX_N
-    raises OutOfRange before any encoding.
+    The eta-cube series is squared three times (eta^6, eta^12, eta^24), each
+    cut to N terms, as K balanced L-bit limbs: diagonal k of a square, the sum
+    of d_s * d_t over s + t = k, is one inverse real FFT of length
+    M = 2^ceil(log2(2N - 1)), rounded and carried.  Each kept coefficient is
+    at most B = sum a_i^2 (Cauchy-Schwarz; exact from the limbs' int64 Gram
+    matrix), which sets the next K; each series squared is at most
+    top = N B1^2 (B1 the first B), which fixes L before any transform.  A
+    width past its rounding bound raises FloatingPointError, N outside
+    [1, _MAX_N] OutOfRange.
     """
     N = as_index(N, "N")
-    if N < 1:
-        raise OutOfRange("need N >= 1")
-    if N > _MAX_N:
-        raise OutOfRange(f"N={N} beyond {_MAX_N}: the squarings would take too long")
+    if not 1 <= N <= _MAX_N:
+        raise OutOfRange(f"need 1 <= N <= {_MAX_N}, got N={N}")
     series = _eta_cube_terms(N)
+    M, top = 1 << (2 * N - 2).bit_length(), N * int(series @ series) ** 2
+    bits = _limb_bits(N, M, top)
+    if not _rounding_bound(N, M, bits, _limb_count(top, bits)) < 0.25:
+        raise FloatingPointError(f"{bits}-bit limbs break the FFT rounding bound at N={N}")
+    limbs = _carry([series], bits, _limb_count(int(np.abs(series).max()), bits))
     for _ in range(3):
-        bits = _slot_bits(series)
-        acc = _encode(series, bits)
-        series = _decode(acc * acc, N, bits)
-    return [0] + series  # a(n) = series[n-1]; index 0 is a dummy
+        gram = (limbs @ limbs.T).tolist()
+        B = sum(v << bits * (s + t) for s, row in enumerate(gram) for t, v in enumerate(row))
+        limbs = _square(limbs, M, bits, _limb_count(B, bits))
+    step = 62 // bits  # groups of limbs below 2^62, then one Python int per coefficient
+    groups = [(1 << bits * np.arange(len(g))) @ g for g in np.split(limbs, range(step, len(limbs), step))]
+    values = groups[0].tolist()
+    for j, g in enumerate(groups[1:], 1):
+        values = [v + (w << bits * step * j) for v, w in zip(values, g.tolist())]
+    return [0] + values  # a(n) = values[n-1]; index 0 is a dummy
 
 
 @dataclass(frozen=True)
@@ -138,8 +153,7 @@ def build_gl2_table(k: int, N: int) -> GL2CoefficientTable:
         raise UnsupportedWeight(f"weight {k} not supported (only 12)")
     N = as_index(N, "N")
     ints = weight12_integer_coefficients(N)
-    ns = np.arange(N + 1, dtype=float)
-    ns[0] = 1.0
+    ns = np.maximum(np.arange(N + 1, dtype=float), 1.0)  # ns[0] = 1 divides the dummy a(0)
     values = np.array([float(a) for a in ints]) / ns ** ((k - 1) / 2.0)
     values.setflags(write=False)
     return GL2CoefficientTable(N=N, values=values, integer_values=tuple(ints))
@@ -160,24 +174,16 @@ class GL3CoefficientTable:
         terms = [(1, 1.0)]  # (d, mu(d)) over the squarefree divisors of (m1, m2)
         for p, _ in factorize(math.gcd(m1, m2)):
             terms += [(d * p, -mu) for d, mu in terms]
-        row = self.first_row
-        return float(sum(mu * row[m1 // d] * row[m2 // d] for d, mu in terms))
+        return float(sum(mu * self.first_row[m1 // d] * self.first_row[m2 // d] for d, mu in terms))
 
 
 def sym2_local_expansion(lam_p: float, kmax: int) -> np.ndarray:
-    """Independent oracle for h_k: expand the lift's local Euler factor.
-
-    With lambda2(p) = 2 cos(theta), the parameters are (e^{2i theta}, 1,
-    e^{-2i theta}); h_k is the complete homogeneous polynomial, computed by
-    multiplying the three truncated geometric series directly.
-    """
+    """Independent oracle for h_k: with lambda2(p) = 2 cos(theta), the product
+    of the truncated geometric series of e^{2i theta}, 1 and e^{-2i theta}."""
     theta = math.acos(max(-1.0, min(1.0, lam_p / 2.0)))
-    params = [np.exp(2j * theta), 1.0 + 0j, np.exp(-2j * theta)]
-    series = np.zeros(kmax + 1, dtype=complex)
-    series[0] = 1.0
-    for a in params:
-        geo = a ** np.arange(kmax + 1)
-        series = np.convolve(series, geo)[: kmax + 1]
+    series = (np.arange(kmax + 1) == 0).astype(complex)  # the constant 1
+    for a in (np.exp(2j * theta), 1.0 + 0j, np.exp(-2j * theta)):
+        series = np.convolve(series, a ** np.arange(kmax + 1))[: kmax + 1]
     assert np.abs(series.imag).max() < 1e-9
     return series.real
 
@@ -189,15 +195,10 @@ def build_gl3_sym2_table(base: GL2CoefficientTable, N: int) -> GL3CoefficientTab
         raise OutOfRange("need N >= 1")
     if base.N < N:
         raise InsufficientBase(f"base covers {base.N} < {N}")
-    sieve = np.ones(N + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(N) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
     # Multiplicative sieve, largest prime first: each first[n] multiplies its
     # local factors onto 1.0 from the largest prime down; that order fixes rounding.
     first = np.ones(N + 1)
-    for p in np.flatnonzero(sieve)[::-1].tolist():
+    for p in primes_between(2, N)[::-1]:
         kmax = 1
         while p ** kmax <= N:
             kmax += 1
@@ -230,5 +231,4 @@ def rankin_selberg_average(table, x) -> float:
         raise TypeError("expected a coefficient table")
     if x > table.N:
         raise OutOfRange(f"x={x} beyond table range {table.N}")
-    row = row[1 : x + 1]
-    return float(np.sum(row * row) / x)
+    return float(np.sum(row[1 : x + 1] * row[1 : x + 1]) / x)

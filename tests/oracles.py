@@ -9,6 +9,7 @@ row, which test_arith checks against brute_kloosterman.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -102,3 +103,30 @@ def kronecker_delta_integers(N):
         acc = (acc * acc) & mask
     raw = ((acc + offset) & mask).to_bytes(size * N, "little")
     return [0] + [int.from_bytes(raw[i : i + size], "little") - half for i in range(0, len(raw), size)]
+
+
+def exact_l2_error(A):
+    """The L^2 distance of the approximant A from 1, sum over n != 0 of
+    |a_n|^2, in closed form, with no truncation in n.
+
+    With theta = 2 pi delta, a_n = R(n) sin(theta n) / (theta n L), where
+    R(n) = sum_q c_q(n) = sum over divisor values d = a b (a in {1} u P1,
+    b in {1} u P2) of v_d [d | n], v_ab = u_a u_b, u_1 = -|P| and u_p = p.
+    Squaring R gives pairs (d, d') with D = lcm(d, d'), and
+    sum_{k >= 1} sin^2(theta D k) / k^2 = t (2 pi - t) / 8, t = 2 pi frac(2 delta D),
+    from sum_{m >= 1} cos(m t) / m^2 = pi^2/6 - pi t / 2 + t^2 / 4 on [0, 2 pi].
+    So E = (2 / (theta^2 L^2)) sum_{d, d'} v_d v_d' t_D (2 pi - t_D) / (8 D^2),
+    frac(2 delta D) taken exactly from the float delta.
+    """
+    P1, P2 = A.moduli.P1, A.moduli.P2
+    vals = [(a * b, ua * ub) for a, ua in [(1, -len(P1))] + [(p, p) for p in P1]
+            for b, ub in [(1, -len(P2))] + [(p, p) for p in P2]]
+    num, den = Fraction(A.delta).as_integer_ratio()
+    terms = []
+    for d, v in vals:
+        for d2, v2 in vals:
+            D = math.lcm(d, d2)
+            t = 2.0 * math.pi * (2 * num * D % den) / den
+            terms.append(v * v2 * t * (2.0 * math.pi - t) / (8.0 * D * D))
+    theta = 2.0 * math.pi * A.delta
+    return 2.0 / (theta * theta * A.moduli.L ** 2) * math.fsum(terms)

@@ -272,6 +272,28 @@ class TestPrimesInDyadic:
         expect = [p for p in range(Q, 2 * Q + 1) if sieve[p]]
         assert arith.primes_in_dyadic(Q, 1) == tuple(expect)
 
+    # every Q to 60, then spot sizes to 10^4 (primes, powers of two and
+    # their neighbours); exclude 0, 1 and composites whose primes lie in, or
+    # straddle, the segments
+    SIEVE_QS = [*range(2, 61), 97, 128, 255, 256, 257, 1000, 1024, 2003, 4095, 4096, 7919, 9973, 10_000]
+
+    @pytest.mark.parametrize("Q", SIEVE_QS)
+    def test_sieve_matches_trial_division(self, Q):
+        primes = [p for p in range(Q, 2 * Q + 1) if arith.is_prime(p)]  # the trial-division list
+        for exclude in (0, 1, 6, 2 * 3 * 5 * 7 * 11 * 13, math.prod(primes[::2]), primes[0] * primes[-1] * 4):
+            expect = tuple(p for p in primes if exclude == 0 or exclude % p != 0)
+            if expect:
+                assert arith.primes_in_dyadic(Q, exclude) == expect
+            else:
+                with pytest.raises(EmptyRange):
+                    arith.primes_in_dyadic(Q, exclude)
+
+    @pytest.mark.parametrize("lo,hi", [(2, 1), (2, 2), (3, 3), (4, 4), (10, 9), (2, 100), (90, 97), (7919, 7919)])
+    def test_primes_between_edges(self, lo, hi):
+        got = arith.primes_between(lo, hi)
+        assert got == [p for p in range(lo, hi + 1) if arith.is_prime(p)]
+        assert all(type(p) is int for p in got)
+
 
 class TestPrimality:
     @pytest.mark.parametrize("n", [2, 3, 5, 97, 7919, 2**31 - 1])

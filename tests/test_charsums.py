@@ -15,7 +15,7 @@ from oracles import brute_kloosterman, contraction_prime_factor, direct_t
 from shiftconv import arith
 from shiftconv import charsums as cs
 from shiftconv.arith import PrimeModulus, factorize, kloosterman_table
-from shiftconv.errors import InvalidDivisor
+from shiftconv.errors import InvalidDivisor, OutOfRange
 
 P = PrimeModulus
 
@@ -279,6 +279,23 @@ class TestSFactoredArrays:
                 got = cs.char_sum_S_factored(m1, *args, 5, 7)
                 assert np.array_equal(got, cs.char_sum_S_factored(m1, *reduced, 5, 7))
 
+    @pytest.mark.parametrize("q1,q2", [(3, 5), (7, 11)])
+    def test_m1_tuple_stacks_the_single_calls(self, q1, q2):
+        # a tuple of m1 gives one leading axis, each entry bit for bit the
+        # call with that m1 alone, in the order given, repeats included
+        q = q1 * q2
+        m1s = (q, 1, q2, q1, 1)
+        args = (np.array([1, 3, q1, 2 * q2]), np.array([1, 2, q1])[:, None, None], np.array([0, 1, q2])[:, None])
+        got = cs.char_sum_S_factored(m1s, *args, q1, q2)
+        assert got.shape == (5, 3, 3, 4)
+        for m1, block in zip(m1s, got):
+            assert block.tobytes() == cs.char_sum_S_factored(m1, *args, q1, q2).tobytes()
+        assert cs.char_sum_S_factored((1, q), 2, 1, 4, q1, q2).shape == (2,)
+        with pytest.raises(InvalidDivisor):
+            cs.char_sum_S_factored((1, 2 * q1), 2, 1, 4, q1, q2)
+        with pytest.raises(OutOfRange):
+            cs.char_sum_S_factored((1, 3.0), 2, 1, 4, q1, q2)
+
     def test_scalar_call_returns_complex(self):
         for m1 in (1, 3, 5, 15):
             assert type(cs.char_sum_S_factored(m1, 2, 1, 4, 3, 5)) is complex
@@ -425,7 +442,7 @@ class TestPrimeFactorKernel:
         m2 = np.array([0, 1, 2, p, self.C, 3 * p + 1, q - 1]) % q
         for args in [(m2, n[:, None, None], h[:, None]), (m2[:6].reshape(2, 3), n[:3], h[2])]:
             for m1 in (1, self.C, p, q):
-                got = cs._prime_factor(p, self.C, m1, *args)
+                got = cs._prime_factor(p, self.C, (m1,), *args)[0]
                 want = contraction_prime_factor(p, self.C, m1, *args)
                 assert got.shape == want.shape
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -436,7 +453,7 @@ class TestPrimeFactorKernel:
         kloosterman_table(p)  # builds and caches the unit tables too
         tracemalloc.start()
         try:
-            cs._prime_factor(p, 1013, 1, np.arange(p), np.array(3), np.array(5))
+            cs._prime_factor(p, 1013, (1,), np.arange(p), np.array(3), np.array(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -451,7 +468,7 @@ class TestPrimeFactorKernel:
         t = cb * cb * m2 % p  # in Python ints
         assert (cb, t) == (2_048_288, 460_407)
         # a 1-D m2, on which int64 products wrap silently
-        got = cs._prime_factor(p, c, 1, np.array([m2]), np.array(n), np.array(h))[0]
+        got = cs._prime_factor(p, c, (1,), np.array([m2]), np.array(n), np.array(h))[0][0]
         # the b-sum, with S(bbar, t; p) = K[bbar t]
         b, bb = np.arange(1, p), arith.unit_inverses(p)[1:]
         hr, nr = cb * h % p, -cb * n % p
@@ -751,6 +768,60 @@ class TestClosedForms:
 
 
 class TestBoundCensus:
+    def test_t_census_builds_each_alpha_factor_once(self, monkeypatch):
+        # one _t_factors build per prime triple serves T and its tolerance,
+        # and the tolerance equals one from a fresh build
+        fam = cs.TCensusFamily(q1_primes=(3, 11, 13), q2_primes=(7,), m_max=10)
+        builds, tols = [], []
+        t_factors, tolerance = cs._t_factors, cs.char_sum_T_tolerance
+        monkeypatch.setattr(cs, "_t_factors", lambda p, n, h: builds.append(p) or t_factors(p, n, h))
+        monkeypatch.setattr(cs, "char_sum_T_tolerance", lambda p: tols.append((p, tolerance(p))) or tols[-1][1])
+        cs.bound_census(fam)
+        assert [(p.q1.p, p.q1t.p, p.q2.p) for p in builds] == [(3, 11, 7), (3, 13, 7), (11, 13, 7)]
+        assert [p for p, _ in tols] == builds[:2]  # the triples with a vanishing tuple
+        for p, tol in tols:
+            fresh = cs.TCharParams(p.n, p.m, p.h, p.q1, p.q1t, p.q2)
+            assert tolerance(fresh).tobytes() == tol.tobytes()
+
+    @pytest.mark.parametrize(
+        "n,h", [(2, 1), (np.array([1, 2])[:, None], 3), (np.array([1, 2])[:, None, None], np.array([3, 4, 5])[:, None])],
+        ids=["scalars", "n_axis", "n_h_axes"],
+    )
+    def test_t_and_tolerance_share_the_params_factors(self, monkeypatch, n, h):
+        # T then its tolerance at one TCharParams build the factors once,
+        # with the values, shapes and types of separate params
+        builds = []
+        t_factors = cs._t_factors
+        monkeypatch.setattr(cs, "_t_factors", lambda p, n, h: builds.append(p) or t_factors(p, n, h))
+        p = tparams(n, np.array([1, 5, 6]), h, 5, 7, 11)
+        t, tol = cs.char_sum_T(p), cs.char_sum_T_tolerance(p)
+        assert len(builds) == 1
+        want_t = cs.char_sum_T(tparams(n, np.array([1, 5, 6]), h, 5, 7, 11))
+        want_tol = cs.char_sum_T_tolerance(tparams(n, np.array([1, 5, 6]), h, 5, 7, 11))
+        assert len(builds) == 3
+        assert t.tobytes() == want_t.tobytes() and tol.tobytes() == want_tol.tobytes()
+        assert type(tol) is type(want_tol) and np.shape(tol) == np.broadcast_shapes(np.shape(n), np.shape(h))
+
+    def test_s_census_builds_each_prime_factor_once_per_pair(self, monkeypatch):
+        # the FFT row at p serves m1 = 1 and m1 = c, the Kloosterman value
+        # m1 = p and m1 = q: one _prime_factor call, one inverse FFT, per prime
+        fam = cs.SCensusFamily(primes=(3, 5, 7), m2_max=4, n_max=5, h_max=4)
+        for p in fam.primes:
+            kloosterman_table(p)  # cached, so the only FFTs left are the factors'
+        calls, ffts = [], []
+        prime_factor, ifft = cs._prime_factor, np.fft.ifft
+
+        def spy(p, c, m1s, *args):
+            calls.append((p, c, m1s))
+            return prime_factor(p, c, m1s, *args)
+
+        monkeypatch.setattr(cs, "_prime_factor", spy)
+        monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: ffts.append(1) or ifft(*a, **k))
+        cs.bound_census(fam)
+        pairs = ((3, 5), (3, 7), (5, 7))
+        assert calls == [(p, c, (1, q1, q2, q1 * q2)) for q1, q2 in pairs for p, c in ((q1, q2), (q2, q1))]
+        assert len(ffts) == len(calls)
+
     def test_s_family_small(self):
         fam = cs.SCensusFamily(primes=(3, 5, 7), m2_max=4, n_max=4, h_max=4)
         rep = cs.bound_census(fam)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import divisors, ramanujan_sum
+from oracles import divisors, exact_l2_error, ramanujan_sum
 from shiftconv import circle
 from shiftconv.arith import euler_phi
 from shiftconv.errors import OutOfRange, OverlappingRanges
@@ -332,6 +332,36 @@ class TestL2Error:
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    # (Q1, Q2, e) with delta = Q^e
+    EXACT_CASES = {
+        "3-11": (3, 11, -1.0),
+        "5-23": (5, 23, -1.0),
+        "10-60": (10, 60, -1.0),
+        "30-200": (30, 200, -1.0),
+        "10-60-delta_Q^-1.5": (10, 60, -1.5),
+    }
+
+    @pytest.mark.parametrize("Q1,Q2,e", EXACT_CASES.values(), ids=EXACT_CASES.keys())
+    def test_exact_value_is_bracketed(self, Q1, Q2, e):
+        # the closed-form sum over every n lies between the partial sum and
+        # partial + tail_bound; the majorant is 4.8x to 15.8x the true tail here
+        ms = circle.build_moduli_set(Q1, Q2, 1)
+        A = circle.Approximant(moduli=ms, delta=float(ms.max_modulus) ** e)
+        est = circle.l2_error(A, int(50 / A.delta))
+        exact = exact_l2_error(A)
+        assert est.partial < exact <= est.partial + est.tail_bound
+        assert est.tail_bound < 20 * (exact - est.partial)
+
+    def test_exact_value_at_30_200(self):
+        ms = circle.build_moduli_set(30, 200, 1)
+        A = circle.Approximant(moduli=ms, delta=1.0 / ms.max_modulus)
+        assert exact_l2_error(A) == pytest.approx(0.0012320081802888, rel=1e-13)
+
+    def test_exact_value_matches_quadrature(self, small_set):
+        # the midpoint rule on 66,000 points, independent of the closed form
+        A = circle.Approximant(moduli=small_set, delta=1.0 / small_set.max_modulus)
+        assert exact_l2_error(A) == pytest.approx(circle.quadrature_l2_error(A, A.delta / 500.0), rel=1e-3)
 
     def test_memory_is_chunk_sized(self):
         # n_max = 1.2e6 in 2^16-n chunks: at most 8 float arrays of one

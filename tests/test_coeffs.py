@@ -59,7 +59,12 @@ def hecke_inequality_check(table, q1, m2):
     return lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
 
 
-# slot contents for the codec round trip, given the largest |c| a width allows
+def limb_values(limbs, bits):
+    """The integers sum_k limbs[k] 2^(bits k) held column by column."""
+    return [sum(int(d) << bits * k for k, d in enumerate(col)) for col in limbs.T]
+
+
+# values for the limb round trip, given the largest |c| a width allows
 CODEC_CASES = {
     "extremes": lambda top: [top, -top, top, -top],
     "extremes_between_zeros": lambda top: [-top, 0, 0, top, 0],
@@ -95,41 +100,81 @@ class TestGL2:
         assert got == fixed_width_reference(N)
 
     def test_slot_widths_bound_every_kept_coefficient(self, monkeypatch):
-        # per squaring: max |c_n| <= B = sum a_i^2 < 2^(w-1), w the least whole-byte width
+        # per squaring: max |c_n| <= B = sum a_i^2 < 2^(L K - 2), K the least
+        # such limb count, and L = 15 bits at N = 6000
         seen = []
-        encode, decode = coeffs._encode, coeffs._decode
+        square = coeffs._square
 
-        def spy_encode(series, bits):
-            seen.append([sum(c * c for c in series), bits])
-            return encode(series, bits)
-
-        def spy_decode(value, length, bits):
-            out = decode(value, length, bits)
-            seen[-1].append(max(abs(c) for c in out))
+        def spy(limbs, M, bits, K):
+            out = square(limbs, M, bits, K)
+            B = sum(v * v for v in limb_values(limbs, bits))
+            seen.append((B, bits, K, max(abs(v) for v in limb_values(out, bits))))
             return out
 
-        monkeypatch.setattr(coeffs, "_encode", spy_encode)
-        monkeypatch.setattr(coeffs, "_decode", spy_decode)
+        monkeypatch.setattr(coeffs, "_square", spy)
         assert coeffs.weight12_integer_coefficients(6000) == fixed_width_reference(6000)
-        assert [bits for _, bits, _ in seen] == [24, 48, 80]
-        for b, bits, top in seen:
-            assert top <= b < 2 ** (bits - 1) <= 2 ** 8 * b
+        assert [(bits, K) for _, bits, K, _ in seen] == [(15, 2), (15, 3), (15, 6)]
+        for B, bits, K, top in seen:
+            assert top <= B < 2 ** (bits * K - 2) and B >= 2 ** (bits * (K - 1) - 2)
 
     def test_too_narrow_last_slot_fails_the_reference(self, monkeypatch):
-        # mutation check: at N = 6000 the last width is 80 bits and max |a(n)|
-        # < 2^70, so 72-bit slots still decode; 64-bit slots overflow, and the
-        # reference comparison must catch it
-        widths = []
-        slot_bits = coeffs._slot_bits
+        # mutation check: one limb fewer in the last squaring.  At N = 1000 the
+        # last square takes 4 limbs of 17 bits and max |a(n)| >= 2^55, so 3
+        # limbs cut coefficients, and the reference comparison must catch it.
+        # (At N = 6000, B < 2^78 while max |a(n)| < 2^70: a spare limb.)
+        counts = []
+        square = coeffs._square
 
-        def narrow_last(series):
-            widths.append(slot_bits(series))
-            return 64 if len(widths) == 3 else widths[-1]
+        def one_fewer_last(limbs, M, bits, K):
+            counts.append((bits, K))
+            return square(limbs, M, bits, K - 1 if len(counts) == 3 else K)
 
-        monkeypatch.setattr(coeffs, "_slot_bits", narrow_last)
-        got = coeffs.weight12_integer_coefficients(6000)
-        assert widths == [24, 48, 80]
-        assert got != fixed_width_reference(6000)
+        monkeypatch.setattr(coeffs, "_square", one_fewer_last)
+        got = coeffs.weight12_integer_coefficients(1000)
+        assert counts[-1] == (17, 4)
+        assert max(abs(a) for a in fixed_width_reference(1000)) >= 2 ** 55
+        assert got != fixed_width_reference(1000)
+
+    @pytest.mark.parametrize("bits", [9, 12, 15, 17])
+    def test_limb_count_is_the_least_that_holds(self, bits):
+        # K is the least count with bound < 2^(bits K - 2), and K limbs carry
+        # +-bound at that edge back exactly
+        for K in range(1, 5):
+            top = 2 ** (bits * K - 2) - 1
+            assert coeffs._limb_count(top, bits) == K and coeffs._limb_count(top + 1, bits) == K + 1
+            values = [top, -top, 0]
+            diagonals = [np.array([(v >> bits * k) & (2 ** bits - 1) for v in values]) for k in range(K - 1)]
+            diagonals.append(np.array([v >> bits * (K - 1) for v in values]))
+            assert limb_values(coeffs._carry(diagonals, bits, K), bits) == values
+
+    def test_too_wide_limbs_raise_before_any_transform(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("transform started")
+
+        limb_bits = coeffs._limb_bits
+        monkeypatch.setattr(coeffs, "_limb_bits", lambda N, M, top: limb_bits(N, M, top) + 1)
+        monkeypatch.setattr(np.fft, "rfft", fail)
+        monkeypatch.setattr(np.fft, "irfft", fail)
+        for N in (1, 1000, 6000):
+            with pytest.raises(FloatingPointError):
+                coeffs.weight12_integer_coefficients(N)
+
+    def test_rounding_residual_above_a_quarter_raises(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kwargs: irfft(*args, **kwargs) + 0.3)
+        with pytest.raises(FloatingPointError):
+            coeffs.weight12_integer_coefficients(1000)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 1000, 6000, 20_000, 100_000, 3_000_000])
+    def test_limb_width_keeps_the_rounding_bound(self, N):
+        # the chosen width holds the bound at the largest limb count, one more bit does not
+        M = 1 << (2 * N - 2).bit_length()
+        series = coeffs._eta_cube_terms(N)
+        top = N * int(series @ series) ** 2
+        bits = coeffs._limb_bits(N, M, top)
+        assert coeffs._rounding_bound(N, M, bits, coeffs._limb_count(top, bits)) < 0.25
+        assert coeffs._rounding_bound(N, M, bits + 1, coeffs._limb_count(top, bits + 1)) >= 0.25
+        assert bits >= 12 or N > 6000
 
     def test_lambda_one(self, gl2):
         assert gl2.lam(1) == 1.0
@@ -185,10 +230,10 @@ class TestGL2:
 
     def test_slot_limit_raises_before_encoding(self, monkeypatch):
         def fail(*args):
-            raise AssertionError("encoding started")
+            raise AssertionError("work started")
 
         monkeypatch.setattr(coeffs, "_eta_cube_terms", fail)
-        monkeypatch.setattr(coeffs, "_encode", fail)
+        monkeypatch.setattr(coeffs, "_square", fail)
         with pytest.raises(OutOfRange):
             coeffs.weight12_integer_coefficients(3_000_001)
 
@@ -199,10 +244,15 @@ class TestGL2:
         [pytest.param(k, b, id=k if b == 128 else f"{k}_{b}") for b in (24, 48, 80, 128) for k in CODEC_CASES],
     )
     def test_slot_codec_round_trips(self, kind, bits):
-        values = CODEC_CASES[kind](2 ** (bits - 1) - 1)
-        value = coeffs._encode(values, bits)
-        assert value == sum(c << (bits * i) for i, c in enumerate(values))
-        assert coeffs._decode(value, len(values), bits) == values
+        # values of up to `bits` bits, as unsigned 15-bit diagonals with a
+        # signed top one, carried into balanced 15-bit limbs and back
+        values, width = CODEC_CASES[kind](2 ** (bits - 1) - 1), 15
+        K = coeffs._limb_count(2 ** (bits - 1) - 1, width)
+        diagonals = [np.array([(v >> width * k) & (2 ** width - 1) for v in values]) for k in range(K - 1)]
+        diagonals.append(np.array([v >> width * (K - 1) for v in values]))
+        limbs = coeffs._carry(diagonals, width, K)
+        assert np.abs(limbs).max() <= 2 ** (width - 1)
+        assert limb_values(limbs, width) == values
 
 
 class TestGL3:
