@@ -27,25 +27,17 @@ in t2_sum below.
 
 Each sum has one evaluator per use:
     char_sum_S            direct double sum for any q, reading no package table;
-    char_sum_S_factored   per-prime product for q = q1 q2, taking arrays
-                          in m2, n and h (at m1 = q1 it is the Kloosterman
-                          factor times the two-variable unit sum mod q2);
-                          a prime factor with p not dividing m1 is one
-                          scatter of the Kloosterman row and one length-p
-                          inverse FFT per (n, h), read at every m2, so a
-                          whole row in m2 costs O(p) memory;
-                          the S census calls it once per (q1, q2), with
-                          the four m1 as a tuple, on its whole (n, h, m2)
-                          grid, so each prime factor is built once, and
-                          appends one block per m1 to its report as
-                          columns, one array per field;
-    char_sum_T            built from the same per-prime factors of S: by
-                          CRT the alpha-sum splits into one sum mod each
-                          prime, and one batched length-r inverse FFT per
-                          prime gives it at every (n, h, m), which may be
-                          ints or arrays that broadcast, as in S; the T
-                          census calls it once per (q1, q1t, q2) on its
-                          whole grid and appends one block per (n, h).
+    char_sum_S_factored   per-prime product for q = q1 q2, on arrays in m2, n
+                          and h, at one m1 or at a tuple of them;
+    char_sum_T            its alpha-sum split by CRT into one short sum per
+                          prime, each one batched length-r inverse FFT, at
+                          every (n, h, m) of ints or arrays that broadcast.
+Both read one kernel, _prime_factor(p, c, n, h) -> (k0, row).  The factor of
+S at the prime p with cofactor c is k0 when p | m1; otherwise it is the row,
+which holds it at every m mod p for one length-p inverse FFT per (n, h), read
+at cbar^2 m2 (m1 = 1) or at m2 (m1 = c).  T reads the row at cbar^2 x for
+every x mod p.  The censuses call S once per (q1, q2), with the four m1, and
+T once per (q1, q1t, q2), each on its whole grid, so each row is built once.
 """
 
 from __future__ import annotations
@@ -92,10 +84,10 @@ class TCharParams:
 
     n, m (the dual frequency) and h are ints or int arrays that broadcast
     together, stored as given, and char_sum_T returns T at each (n, h, m); a
-    non-integer raises OutOfRange.  q1 = q1t is permitted (the two inner S
-    then share a modulus); q2 must differ from both.  The alpha-factors are
-    built on first use and kept by the instance, so char_sum_T and
-    char_sum_T_tolerance at the same parameters build them once.
+    non-integer raises OutOfRange.  q1 = q1t is permitted; q2 must differ
+    from both, and a q that is not a PrimeModulus raises InvalidDivisor.  The
+    residues of n, m and h and the alpha-factors are built once and kept, so
+    char_sum_T and char_sum_T_tolerance at one instance share them.
     """
 
     n: int | np.ndarray
@@ -106,15 +98,24 @@ class TCharParams:
     q2: PrimeModulus
 
     def __post_init__(self):
-        _residues(self.q1.p * self.q1t.p * self.q2.p, self.n, self.m, self.h)
+        if not all(isinstance(r, PrimeModulus) for r in (self.q1, self.q1t, self.q2)):
+            raise InvalidDivisor(f"need PrimeModulus q1, q1t, q2, got {self.q1!r}, {self.q1t!r}, {self.q2!r}")
+        # n, m and h reduced once mod Q = q1 q1t q2, a period of T, as int64 arrays
+        object.__setattr__(self, "_nmh", _residues(self.q1.p * self.q1t.p * self.q2.p, self.n, self.m, self.h))
         if self.q2.p in (self.q1.p, self.q1t.p):
             raise InvalidDivisor("q2 must avoid {q1, q1t}")
 
     @cached_property
     def _factors(self):
-        """_t_factors at the residues of n and h, as arrays of at least one axis."""
-        n, h = (np.atleast_1d(x) for x in _residues(self.q1.p * self.q1t.p * self.q2.p, self.n, self.h))
-        return _t_factors(self, n, h)
+        """(A_q1, A_q2) and (B_q1t, B_q2), the alpha factors of S_a and S_b, on
+        the broadcast shape of n and h (at least one axis) plus one axis x mod
+        r: by CRT, S(1, alpha, n, h; q1 q2) = A_q1(alpha mod q1) A_q2(alpha mod q2)."""
+        n, _, h = (np.atleast_1d(x) for x in self._nmh)
+        q1, q1t, q2 = self.q1.p, self.q1t.p, self.q2.p
+        # A_r(x) is the kernel's row at cbar^2 x; one call per distinct (r, c), two on the diagonal
+        pairs = {q: [_prime_factor(r, c, n, h)[1][..., pow(c, -2, r) * np.arange(r) % r]
+                     for r, c in ((q, q2), (q2, q))] for q in dict.fromkeys((q1, q1t))}
+        return pairs[q1], pairs[q1t]
 
 
 def _residues(q: int, *xs) -> list[np.ndarray]:
@@ -152,72 +153,58 @@ def char_sum_S(p: SCharParams) -> complex:
 def char_sum_S_factored(
     m1: int, m2: int | np.ndarray, n: int | np.ndarray, h: int | np.ndarray, q1: int, q2: int
 ) -> complex | np.ndarray:
-    """S over q = q1 q2 (distinct primes) as a product of per-prime factors.
-
-    For each prime p with cofactor c = q/p the factor is
-        sum over units b mod p of e_p(cbar h b - cbar n bbar) * (inner),
-    where the inner Kloosterman carries a cbar^2 twist on m2 when the
-    Kloosterman modulus itself splits (m1 = 1), no twist when the modulus is
-    the single prime p (p = q/m1), and reduces to 1 when p | m1 (then the
-    b-sum is itself a Kloosterman sum).  Equals char_sum_S.
+    """S over q = q1 q2 (distinct primes) as the product of its factors at q1
+    and at q2, each read from _prime_factor's (k0, row).  Equals char_sum_S.
 
     m2, n and h may be integers or integer arrays and broadcast against each
     other; q1 and q2 are integers.  The result has the broadcast shape, and a
     call with three scalars returns a complex.  m1 may also be a tuple of
     divisors of q: the result then has one more leading axis, over m1, and
-    each prime factor is built once for all of them.  Non-integer m1, m2, n
-    or h, or shapes that do not broadcast, raise OutOfRange.
+    each prime factor is built once for all of them.  Non-integer arguments,
+    or shapes that do not broadcast, raise OutOfRange.
     """
+    q1, q2 = as_index(q1, "q1"), as_index(q2, "q2")
     if q1 == q2 or not (is_prime(q1) and is_prime(q2)):
         raise InvalidDivisor(f"q1 and q2 must be distinct primes, got {q1} and {q2}")
     q = q1 * q2
     m1s = tuple(as_index(d, "m1") for d in (m1 if isinstance(m1, tuple) else (m1,)))
-    if any(d < 1 or q % d for d in m1s):
-        raise InvalidDivisor(f"m1={m1} does not divide q={q}")
+    if not m1s or any(d < 1 or q % d for d in m1s):
+        raise InvalidDivisor(f"need m1 to divide q={q}, got m1={m1}")
     m2, n, h = _residues(q, m2, n, h)
     ones = np.ones(np.broadcast_shapes(m2.shape, n.shape, h.shape), dtype=complex)
-    f1s, f2s = _prime_factor(q1, q2, m1s, m2, n, h), _prime_factor(q2, q1, m1s, m2, n, h)
-    vals = [ones * f1 * f2 for f1, f2 in zip(f1s, f2s)]
+
+    def factors(p, c):  # at each m1: k0 when p | m1, else the row at m1's read index
+        k0, row = _prime_factor(p, c, n, h)
+        # sparse (n, h) indices broadcast against m2 as the arguments did
+        nh, m = np.indices(row.shape[:-1], sparse=True), {1: pow(c, -2, p) * (m2 % p) % p, c: m2 % p}
+        return [k0 if m1 % p == 0 else row[(*nh, m[m1])] for m1 in m1s]
+
+    vals = [ones * f1 * f2 for f1, f2 in zip(factors(q1, q2), factors(q2, q1))]
     if isinstance(m1, tuple):
         return np.stack(vals)
     return complex(vals[0]) if vals[0].ndim == 0 else vals[0]
 
 
-def _prime_factor(p, c, m1s, m2, n, h):
-    """The factors of S at the prime p with cofactor c, one per m1 in m1s, on
-    int64 arrays.
+def _prime_factor(p, c, n, h):
+    """(k0, row): the factor of S at the prime p with cofactor c, on the
+    broadcast shape of the int64 residues n and h, row with one more axis,
+    m mod p.  With hr = cbar h and nr = -cbar n, k0 = S(hr, nr; p) is the
+    factor when p | m1, and otherwise it is
 
-    With hr = cbar h and nr = -cbar n, the factor is S(hr, nr; p) when p | m1,
-    and otherwise
+        F(m) = sum over units b of e_p(hr b + nr bbar) S(bbar, m; p)
 
-        F(m) = sum over units b of e_p(hr b + nr bbar) S(bbar, m; p),
-
-    at m = cbar^2 m2 (m1 = 1) or m = m2 (m1 = c).  Writing out
-    S(bbar, m; p) = sum over units y of e_p(bbar y + m ybar) and summing b
-    first gives
-
-        F(m) = sum over units y of S(hr, nr + y; p) e_p(m ybar),
-
-    so with w[ybar] = S(hr, nr + y; p) (and w[0] = 0), F = p ifft(w) holds F
-    at every m mod p: one scatter of the Kloosterman row and one length-p
-    inverse FFT per (n, h), in O(p) memory each, read at each m.  One read
-    of the Kloosterman row gives S(hr, nr + y; p) at y = 0 (the factor when
-    p | m1) and, if some m1 in m1s needs F, at every y; m1 only picks one of
-    the two or F's read index, so each is built once for all of m1s.
+    at m = cbar^2 m2 (m1 = 1) or m = m2 (m1 = c).  Writing out S(bbar, m; p)
+    and summing b first gives F(m) = sum over units y of S(hr, nr + y; p)
+    e_p(m ybar), so with w[ybar] = S(hr, nr + y; p) (w[0] = 0), row = p
+    ifft(w) holds F at every m mod p, in O(p) memory per (n, h).
     """
     cb = pow(c, -1, p)
     # residues mod p first, so no int64 product can wrap
     hr, nr = cb * (h % p) % p, -cb * (n % p) % p
-    ys = np.arange(p if any(m1 % p for m1 in m1s) else 1)
-    ks = _kloosterman(p, hr[..., None], (nr[..., None] + ys) % p)  # S(hr, nr + y; p)
-    if len(ys) == 1:
-        return [ks[..., 0]] * len(m1s)
+    ks = _kloosterman(p, hr[..., None], (nr[..., None] + np.arange(p)) % p)  # S(hr, nr + y; p)
     w = np.zeros(ks.shape, dtype=complex)
     w[..., unit_inverses(p)[1:]] = ks[..., 1:]
-    # sparse (n, h) indices broadcast against m as the arguments did
-    row, nh = p * np.fft.ifft(w), np.indices(w.shape[:-1], sparse=True)
-    m = {1: cb * cb % p * (m2 % p) % p, c: m2 % p}  # F's read index at m1 = 1 and at m1 = c
-    return [ks[..., 0] if m1 % p == 0 else row[(*nh, m[m1])] for m1 in m1s]
+    return ks[..., 0], p * np.fft.ifft(w)
 
 
 def _kloosterman(p, a, b):
@@ -226,21 +213,10 @@ def _kloosterman(p, a, b):
     return np.where((a == 0) & (b == 0), p - 1, kloosterman_table(p)[a * b % p])
 
 
-def _t_factors(p: TCharParams, n: np.ndarray, h: np.ndarray):
-    """(A_q1, A_q2) and (B_q1t, B_q2), the alpha factors of S_a and S_b at the
-    residues n, h, each on their broadcast shape plus one axis x mod r.  By
-    CRT, S(1, alpha, n, h; q1 q2) = A_q1(alpha mod q1) A_q2(alpha mod q2)."""
-    q1, q1t, q2, n, h = p.q1.p, p.q1t.p, p.q2.p, n[..., None], h[..., None]
-    # one _prime_factor call per distinct (r, cofactor): two on the diagonal
-    pairs = {q: [_prime_factor(r, c, (1,), np.arange(r), n, h)[0] for r, c in ((q, q2), (q2, q))]
-             for q in {q1, q1t}}
-    return pairs[q1], pairs[q1t]
-
-
 def char_sum_T(p: TCharParams) -> complex | np.ndarray:
     """T(n, m, h; q1, q1t, q2): its alpha-sum reindexed by CRT, exactly.
 
-    With S_a = A_q1 A_q2 and S_b = B_q1t B_q2 (_t_factors), alpha <-> (x, y, z)
+    With S_a = A_q1 A_q2 and S_b = B_q1t B_q2 (p._factors), alpha <-> (x, y, z)
     mod (q1, q1t, q2) splits e_Q(m alpha) into e_r(m rbar x_r) per prime r,
     rbar = (Q/r)^-1 mod r, so for q1 != q1t T is [sum_x A_q1 e] [sum_y conj
     B_q1t e] [sum_z A_q2 conj B_q2 e].  For q1 = q1t the summand has period
@@ -254,9 +230,8 @@ def char_sum_T(p: TCharParams) -> complex | np.ndarray:
     Q = q1 q1t q2, a period of T, first.
     """
     q1, q1t, q2 = p.q1.p, p.q1t.p, p.q2.p
-    res = _residues(q1 * q1t * q2, p.n, p.m, p.h)
     # one array path for scalars too, so a scalar call gets the array's bits
-    m = np.atleast_1d(res[1])
+    m = np.atleast_1d(p._nmh[1])
     (a1, a2), (b1, b2) = p._factors
     if q1 == q1t:
         scale, m, terms = q1 * (m % q1 == 0), m // q1, [(q1, np.abs(a1) ** 2), (q2, np.abs(a2) ** 2)]
@@ -266,7 +241,7 @@ def char_sum_T(p: TCharParams) -> complex | np.ndarray:
     # sparse (n, h) indices broadcast against m as the arguments did
     nh = np.indices(a1.shape[:-1], sparse=True)
     val = scale * math.prod(r * np.fft.ifft(v)[(*nh, m % r * pow(big // r, -1, r) % r)] for r, v in terms)
-    return complex(val[0]) if all(x.ndim == 0 for x in res) else val
+    return complex(val[0]) if all(x.ndim == 0 for x in p._nmh) else val
 
 
 def char_sum_T_tolerance(p: TCharParams) -> float | np.ndarray:
@@ -347,8 +322,9 @@ class SCensusFamily:
 
     m1 runs over all divisors {1, q1, q2, q1 q2}; tuples with gcd(n h, q) > 1
     are skipped (the bound is stated for n, h coprime to q).  A non-integer
-    count or prime raises OutOfRange, a composite or repeated prime
-    InvalidDivisor; the fields are stored as given.
+    or negative count, or a non-integer prime, raises OutOfRange, a
+    composite or repeated prime InvalidDivisor; the fields are stored as
+    given.
     """
 
     primes: tuple
@@ -357,9 +333,7 @@ class SCensusFamily:
     h_max: int = 10
 
     def __post_init__(self):
-        for name in ("m2_max", "n_max", "h_max"):
-            as_index(getattr(self, name), name)
-        _check_primes("primes", self.primes)
+        _check_family(self, ("m2_max", "n_max", "h_max"), ("primes",))
 
 
 @dataclass(frozen=True)
@@ -377,17 +351,20 @@ class TCensusFamily:
     diagonal: bool = False
 
     def __post_init__(self):
-        as_index(self.m_max, "m_max")
         for name in ("n_values", "h_values"):
             for v in getattr(self, name):
                 as_index(v, name)
-        for name in ("q1_primes", "q2_primes"):
-            _check_primes(name, getattr(self, name))
+        _check_family(self, ("m_max",), ("q1_primes", "q2_primes"))
 
 
-def _check_primes(name, primes):
-    if len({PrimeModulus(q).p for q in primes}) < len(primes):
-        raise InvalidDivisor(f"{name} repeats a prime: {tuple(primes)}")
+def _check_family(family, counts, prime_fields):
+    for name in counts:
+        if as_index(getattr(family, name), name) < 0:
+            raise OutOfRange(f"{name} must be >= 0, got {getattr(family, name)}")
+    for name in prime_fields:
+        primes = getattr(family, name)
+        if len({PrimeModulus(q).p for q in primes}) < len(primes):
+            raise InvalidDivisor(f"{name} repeats a prime: {tuple(primes)}")
 
 
 def bound_census(family) -> ExperimentReport:

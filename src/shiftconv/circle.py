@@ -46,6 +46,10 @@ _L2_CHUNK = 1 << 16
 # rows of divisor values per block of the tail's lcm matrix
 _TAIL_BLOCK = 32
 
+# points of the quadrature grid: it peaks at ~40 B a point (tracemalloc), so
+# 168 MB at the cap, far above tier-1's largest grid of 66,000 points
+_QUADRATURE_MAX_POINTS = 1 << 22
+
 
 @dataclass(frozen=True)
 class ModuliSet:
@@ -263,8 +267,11 @@ def _check_positive_real(value, name: str) -> None:
 
 def quadrature_l2_error(A: Approximant, step: float) -> float:
     """Midpoint-rule value of the integral of |1 - I~|^2 (independent oracle),
-    on ceil(1 / step) points; step must be a finite positive real."""
+    on ceil(1 / step) points; step must be a finite positive real, and a
+    grid past _QUADRATURE_MAX_POINTS raises OutOfRange before allocating."""
     _check_positive_real(step, "step")
+    if 1.0 / step > _QUADRATURE_MAX_POINTS:
+        raise OutOfRange(f"step={step!r} needs more than {_QUADRATURE_MAX_POINTS} grid points")
     m = int(np.ceil(1.0 / step))
     xs = (np.arange(m) + 0.5) / m
     vals = 1.0 - approximant_eval(A, xs)

@@ -59,6 +59,19 @@ def tparams(n, m, h, q1, q1t, q2):
     return cs.TCharParams(n=n, m=m, h=h, q1=P(q1), q1t=P(q1t), q2=P(q2))
 
 
+def spy_kernel(monkeypatch, primes):
+    """Record each cs._prime_factor call as (p, c), and each inverse FFT.
+    The Kloosterman rows at primes are built first, so the FFTs left are
+    the kernel's and T's."""
+    for p in primes:
+        kloosterman_table(p)
+    calls, ffts = [], []
+    kernel, ifft = cs._prime_factor, np.fft.ifft
+    monkeypatch.setattr(cs, "_prime_factor", lambda p, c, n, h: calls.append((p, c)) or kernel(p, c, n, h))
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: ffts.append(1) or ifft(*a, **k))
+    return calls, ffts
+
+
 class TestSCharSum:
     def test_empty_modulus(self):
         assert cs.char_sum_S(cs.SCharParams(1, 1, 1, 1, 1)) == 1.0 + 0j
@@ -279,6 +292,13 @@ class TestSFactoredArrays:
                 got = cs.char_sum_S_factored(m1, *args, 5, 7)
                 assert np.array_equal(got, cs.char_sum_S_factored(m1, *reduced, 5, 7))
 
+    def test_numpy_integer_moduli(self):
+        # a numpy q1 or q2 raised a bare TypeError from pow
+        m2 = np.arange(15)
+        want = cs.char_sum_S_factored((1, 3, 5, 15), m2, 2, 4, 3, 5)
+        for q1, q2 in [(np.int64(3), 5), (3, np.uint8(5)), (np.int32(3), np.int64(5))]:
+            assert cs.char_sum_S_factored((1, 3, 5, 15), m2, 2, 4, q1, q2).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("q1,q2", [(3, 5), (7, 11)])
     def test_m1_tuple_stacks_the_single_calls(self, q1, q2):
         # a tuple of m1 gives one leading axis, each entry bit for bit the
@@ -426,26 +446,32 @@ def oracle_s_alpha(n, h, q, alphas):
 
 
 class TestPrimeFactorKernel:
-    """The FFT kernel of S's prime factors against the phase-matrix
-    contraction it replaced (oracles.contraction_prime_factor)."""
+    """The FFT kernel of S's prime factors: its row against the phase-matrix
+    contraction it replaced (oracles.contraction_prime_factor), its k0
+    against the term-by-term Kloosterman sum."""
 
     C = 7  # the cofactor prime, distinct from every p below
 
     @pytest.mark.parametrize("p", [2, 3, 11, 101, 1009])
     def test_matches_contraction(self, p):
+        # residues mod q, as the callers pass them, with n and h at 0 and
+        # at p (both 0 mod p); the second shape pair broadcasts n against a
+        # scalar h
         q = p * self.C
-        # residues mod q, as char_sum_S_factored passes them, with n and h
-        # at 0 and at p (both 0 mod p) and m2 at multiples of p and of c;
-        # the second shape set gives m2 more axes than n and h
         n = np.array([0, 1, p, 2 * p + 3, q - 1]) % q
         h = np.array([0, p, 5, q - 2]) % q
-        m2 = np.array([0, 1, 2, p, self.C, 3 * p + 1, q - 1]) % q
-        for args in [(m2, n[:, None, None], h[:, None]), (m2[:6].reshape(2, 3), n[:3], h[2])]:
-            for m1 in (1, self.C, p, q):
-                got = cs._prime_factor(p, self.C, (m1,), *args)[0]
-                want = contraction_prime_factor(p, self.C, m1, *args)
-                assert got.shape == want.shape
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        cb = pow(self.C, -1, p)
+        for n, h in [(n[:, None], h), (n[:3], h[2])]:
+            k0, row = cs._prime_factor(p, self.C, n, h)
+            shape = np.broadcast_shapes(n.shape, h.shape)
+            assert k0.shape == shape and row.shape == (*shape, p)
+            # the row at every m mod p: m1 = c reads m2 untwisted
+            want = contraction_prime_factor(p, self.C, self.C, np.arange(p), n[..., None], h[..., None])
+            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
+            # k0 = S(cbar h, -cbar n; p), the factor when p | m1
+            for i in np.ndindex(shape):
+                nb, hb = np.broadcast_to(n, shape)[i], np.broadcast_to(h, shape)[i]
+                assert abs(k0[i] - brute_kloosterman(cb * hb % p, -cb * nb % p, p)) <= 1e-9 * p
 
     def test_alpha_row_memory_is_linear_in_p(self):
         # the contraction held a p x (p - 1) phase matrix and gather: ~34 MB
@@ -453,7 +479,7 @@ class TestPrimeFactorKernel:
         kloosterman_table(p)  # builds and caches the unit tables too
         tracemalloc.start()
         try:
-            cs._prime_factor(p, 1013, (1,), np.arange(p), np.array(3), np.array(5))
+            cs._prime_factor(p, 1013, np.array(3), np.array(5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -467,12 +493,14 @@ class TestPrimeFactorKernel:
         cb = pow(c, -1, p)
         t = cb * cb * m2 % p  # in Python ints
         assert (cb, t) == (2_048_288, 460_407)
-        # a 1-D m2, on which int64 products wrap silently
-        got = cs._prime_factor(p, c, (1,), np.array([m2]), np.array(n), np.array(h))[0][0]
-        # the b-sum, with S(bbar, t; p) = K[bbar t]
+        # a 1-D m2, on which int64 products wrap silently; m1 = 1 reads the
+        # row at p at the twist
+        got = cs.char_sum_S_factored(1, np.array([m2]), n, h, p, c)[0]
+        # the b-sum, with S(bbar, t; p) = K[bbar t], times the factor at c
         b, bb = np.arange(1, p), arith.unit_inverses(p)[1:]
         hr, nr = cb * h % p, -cb * n % p
         want = np.sum(np.exp(2j * np.pi * ((hr * b + nr * bb) % p) / p) * kloosterman_table(p)[bb * t % p])
+        want *= contraction_prime_factor(c, p, 1, np.array(m2), np.array(n), np.array(h))
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -504,7 +532,7 @@ class TestAlphaTable:
         q1, q2 = 7, 11
         n, h = np.array([0, 3, 9])[:, None], np.array([5, 1, 77, 2])
         for q1t in (13, 7):
-            for (f, f2), q in zip(cs._t_factors(tparams(n, 1, h, q1, q1t, q2), n, h), (q1, q1t)):
+            for (f, f2), q in zip(tparams(n, 1, h, q1, q1t, q2)._factors, (q1, q1t)):
                 assert f.shape == (3, 4, q) and f2.shape == (3, 4, q2)
                 alpha = np.arange(q * q2)
                 want = cs.char_sum_S_factored(1, alpha, n[..., None], h[..., None], q, q2)
@@ -769,57 +797,54 @@ class TestClosedForms:
 
 class TestBoundCensus:
     def test_t_census_builds_each_alpha_factor_once(self, monkeypatch):
-        # one _t_factors build per prime triple serves T and its tolerance,
-        # and the tolerance equals one from a fresh build
-        fam = cs.TCensusFamily(q1_primes=(3, 11, 13), q2_primes=(7,), m_max=10)
-        builds, tols = [], []
-        t_factors, tolerance = cs._t_factors, cs.char_sum_T_tolerance
-        monkeypatch.setattr(cs, "_t_factors", lambda p, n, h: builds.append(p) or t_factors(p, n, h))
+        # one kernel call per (prime, cofactor) of a triple serves T and its
+        # tolerance, and the tolerance equals one from a fresh build
+        calls, ffts = spy_kernel(monkeypatch, (3, 7, 11, 13))
+        tols, tolerance = [], cs.char_sum_T_tolerance
         monkeypatch.setattr(cs, "char_sum_T_tolerance", lambda p: tols.append((p, tolerance(p))) or tols[-1][1])
-        cs.bound_census(fam)
-        assert [(p.q1.p, p.q1t.p, p.q2.p) for p in builds] == [(3, 11, 7), (3, 13, 7), (11, 13, 7)]
-        assert [p for p, _ in tols] == builds[:2]  # the triples with a vanishing tuple
-        for p, tol in tols:
-            fresh = cs.TCharParams(p.n, p.m, p.h, p.q1, p.q1t, p.q2)
-            assert tolerance(fresh).tobytes() == tol.tobytes()
+        for diagonal in (False, True):
+            del calls[:], ffts[:], tols[:]
+            cs.bound_census(cs.TCensusFamily(q1_primes=(3, 11, 13), q2_primes=(7,), m_max=10, diagonal=diagonal))
+            triples = [(3, 3, 7), (11, 11, 7), (13, 13, 7)] if diagonal else [(3, 11, 7), (3, 13, 7), (11, 13, 7)]
+            moduli = [dict.fromkeys((q1, q1t)) for q1, q1t, _ in triples]  # q1 = q1t counts once
+            assert calls == [pc for qs in moduli for q in qs for pc in ((q, 7), (7, q))]
+            # and one inverse FFT per short sum of T: two on the diagonal, three off it
+            assert len(ffts) == len(calls) + len(triples) * (2 if diagonal else 3)
+            # the triples with a vanishing tuple
+            assert [(p.q1.p, p.q1t.p, p.q2.p) for p, _ in tols] == ([] if diagonal else triples[:2])
+            for p, tol in tols:
+                fresh = cs.TCharParams(p.n, p.m, p.h, p.q1, p.q1t, p.q2)
+                assert tolerance(fresh).tobytes() == tol.tobytes()
 
     @pytest.mark.parametrize(
         "n,h", [(2, 1), (np.array([1, 2])[:, None], 3), (np.array([1, 2])[:, None, None], np.array([3, 4, 5])[:, None])],
         ids=["scalars", "n_axis", "n_h_axes"],
     )
     def test_t_and_tolerance_share_the_params_factors(self, monkeypatch, n, h):
-        # T then its tolerance at one TCharParams build the factors once,
-        # with the values, shapes and types of separate params
-        builds = []
-        t_factors = cs._t_factors
-        monkeypatch.setattr(cs, "_t_factors", lambda p, n, h: builds.append(p) or t_factors(p, n, h))
+        # T then its tolerance at one TCharParams reduce n, m and h once and
+        # build the factors once, with the values, shapes and types of
+        # separate params
+        calls, ffts = spy_kernel(monkeypatch, (5, 7, 11))
+        reductions, residues = [], cs._residues
+        monkeypatch.setattr(cs, "_residues", lambda q, *xs: reductions.append(q) or residues(q, *xs))
         p = tparams(n, np.array([1, 5, 6]), h, 5, 7, 11)
         t, tol = cs.char_sum_T(p), cs.char_sum_T_tolerance(p)
-        assert len(builds) == 1
+        assert reductions == [5 * 7 * 11]
+        assert calls == [(5, 11), (11, 5), (7, 11), (11, 7)] and len(ffts) == len(calls) + 3
         want_t = cs.char_sum_T(tparams(n, np.array([1, 5, 6]), h, 5, 7, 11))
         want_tol = cs.char_sum_T_tolerance(tparams(n, np.array([1, 5, 6]), h, 5, 7, 11))
-        assert len(builds) == 3
+        assert len(calls) == 3 * 4
         assert t.tobytes() == want_t.tobytes() and tol.tobytes() == want_tol.tobytes()
         assert type(tol) is type(want_tol) and np.shape(tol) == np.broadcast_shapes(np.shape(n), np.shape(h))
 
     def test_s_census_builds_each_prime_factor_once_per_pair(self, monkeypatch):
-        # the FFT row at p serves m1 = 1 and m1 = c, the Kloosterman value
-        # m1 = p and m1 = q: one _prime_factor call, one inverse FFT, per prime
+        # the row at p serves m1 = 1 and m1 = c, k0 m1 = p and m1 = q: one
+        # kernel call, one inverse FFT, per prime of a pair
         fam = cs.SCensusFamily(primes=(3, 5, 7), m2_max=4, n_max=5, h_max=4)
-        for p in fam.primes:
-            kloosterman_table(p)  # cached, so the only FFTs left are the factors'
-        calls, ffts = [], []
-        prime_factor, ifft = cs._prime_factor, np.fft.ifft
-
-        def spy(p, c, m1s, *args):
-            calls.append((p, c, m1s))
-            return prime_factor(p, c, m1s, *args)
-
-        monkeypatch.setattr(cs, "_prime_factor", spy)
-        monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: ffts.append(1) or ifft(*a, **k))
+        calls, ffts = spy_kernel(monkeypatch, fam.primes)
         cs.bound_census(fam)
         pairs = ((3, 5), (3, 7), (5, 7))
-        assert calls == [(p, c, (1, q1, q2, q1 * q2)) for q1, q2 in pairs for p, c in ((q1, q2), (q2, q1))]
+        assert calls == [pc for q1, q2 in pairs for pc in ((q1, q2), (q2, q1))]
         assert len(ffts) == len(calls)
 
     def test_s_family_small(self):

@@ -363,6 +363,19 @@ class TestL2Error:
         A = circle.Approximant(moduli=small_set, delta=1.0 / small_set.max_modulus)
         assert exact_l2_error(A) == pytest.approx(circle.quadrature_l2_error(A, A.delta / 500.0), rel=1e-3)
 
+    def test_quadrature_cap_is_checked_before_allocating(self, small_set):
+        # one point past the cap; the largest grid above has 66,000 points
+        A = circle.Approximant(moduli=small_set, delta=1.0 / small_set.max_modulus)
+        assert 10 * 66_000 < circle._QUADRATURE_MAX_POINTS
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange):
+                circle.quadrature_l2_error(A, 1.0 / (circle._QUADRATURE_MAX_POINTS + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
     def test_memory_is_chunk_sized(self):
         # n_max = 1.2e6 in 2^16-n chunks: at most 8 float arrays of one
         # window are alive at once, the tail included

@@ -138,6 +138,20 @@ def _wide_approximant():
         (lambda: circle.l2_error_census([3], [-1.0]), OutOfRange),
         # Q = 4 * 2 * 12,000,000, so every n_max >= 1/delta = Q/8 meets Q^2 > 2^53
         (lambda: circle.l2_error(_wide_approximant(), 12_000_000), OutOfRange),
+        (lambda: arith.primes_between(0, 10), OutOfRange),
+        (lambda: arith.primes_between(-3, 3), OutOfRange),
+        (lambda: arith.primes_between(2.0, 10), OutOfRange),
+        (lambda: charsums.char_sum_S_factored((), 1, 1, 1, 3, 5), ShiftconvError),
+        (lambda: charsums.TCharParams(n=1, m=1, h=1, q1=3, q1t=P(5), q2=P(7)), InvalidDivisor),
+        (lambda: charsums.TCharParams(n=1, m=1, h=1, q1=P(3), q1t=5, q2=P(7)), InvalidDivisor),
+        (lambda: charsums.TCharParams(n=1, m=1, h=1, q1=P(3), q1t=P(5), q2=7), InvalidDivisor),
+        (lambda: charsums.SCensusFamily(primes=(3, 5), m2_max=-2), OutOfRange),
+        (lambda: charsums.SCensusFamily(primes=(3, 5), n_max=-1), OutOfRange),
+        (lambda: charsums.SCensusFamily(primes=(3, 5), h_max=-1), OutOfRange),
+        (lambda: charsums.TCensusFamily(q1_primes=(3, 5), q2_primes=(7,), m_max=-1), OutOfRange),
+        # past the grid cap: numpy's bare ValueError at 1e-300, an inf point count at 5e-324
+        (lambda: circle.quadrature_l2_error(_approximant(1.0 / 132), 1e-300), OutOfRange),
+        (lambda: circle.quadrature_l2_error(_approximant(1.0 / 132), 5e-324), OutOfRange),
     ],
     ids=[
         "weight12_N_below_1",
@@ -231,10 +245,37 @@ def _wide_approximant():
         "l2_census_anchor_single",
         "l2_census_anchor_not_sequence",
         "l2_error_tail_past_2_pow_53",
+        "primes_between_lo_zero",
+        "primes_between_lo_negative",
+        "primes_between_lo_not_integer",
+        "s_factored_m1_empty_tuple",
+        "t_params_q1_int",
+        "t_params_q1t_int",
+        "t_params_q2_int",
+        "s_family_m2_max_negative",
+        "s_family_n_max_negative",
+        "s_family_h_max_negative",
+        "t_family_m_max_negative",
+        "quadrature_step_past_grid_cap",
+        "quadrature_step_subnormal",
     ],
 )
 def test_bad_input_raises_package_error(call, error):
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: charsums.char_sum_S_factored(1, 1, 1, 1, 3.0, 5), "q1"),
+        (lambda: charsums.char_sum_S_factored(1, 1, 1, 1, 3, 5.0), "q2"),
+        (lambda: arith.primes_between(2, 10.0), "hi"),
+    ],
+    ids=["s_factored_q1_float", "s_factored_q2_float", "primes_between_hi_float"],
+)
+def test_non_integer_error_names_the_argument(call, name):
+    with pytest.raises(OutOfRange, match=f"^{name} must be an integer"):
         call()
 
 
