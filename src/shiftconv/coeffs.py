@@ -19,8 +19,10 @@ parameters,
 
 where h_k = lam(p^k, 1) satisfies h_k = c(h_{k-1} - h_{k-2}) + h_{k-3} with
 c = lambda2(p)^2 - 1.  The first row lam(1, n) is a sieve over prime powers:
-for each prime p <= N, one array product multiplies every multiple of p by
-lam(1, p^s), s its p-adic valuation.
+for each prime p <= sqrt(N), one array product multiplies every multiple of p
+by lam(1, p^s), s its p-adic valuation; the primes above sqrt(N) divide each
+n <= N at most once, and at most one of them does, so one array product
+covers all of them.
 
 The table holds that row only.  The lift is self-dual, lam(m, 1) = lam(1, m),
 so the GL(3) Hecke relation gives every other value from it (Goldfeld,
@@ -198,7 +200,20 @@ def build_gl3_sym2_table(base: GL2CoefficientTable, N: int) -> GL3CoefficientTab
     # Multiplicative sieve, largest prime first: each first[n] multiplies its
     # local factors onto 1.0 from the largest prime down; that order fixes rounding.
     first = np.ones(N + 1)
-    for p in primes_between(2, N)[::-1]:
+    primes, r = primes_between(2, N), math.isqrt(N)
+    small, big = [p for p in primes if p <= r], np.array([p for p in primes if p > r], dtype=np.intp)
+    # A prime above sqrt(N) divides each n <= N at most once, and no n has two
+    # of them, so all of them are one pass, taken first: lam(1, p) = h_1 h_1 - h_2 h_0
+    # with h_1 = c, h_2 = c (c - 1) + 0.0, as the recurrence below gives them.
+    # The square stays Python's float ** (libm pow), which now and then
+    # differs from v * v in the last bit.
+    c = np.array([v ** 2 for v in base.values[big].tolist()]) - 1.0
+    local = c * c - (c * (c - 1.0) + 0.0) * 1.0
+    counts = N // big
+    rep = np.repeat(np.arange(big.size), counts)
+    j = np.arange(rep.size) - (np.cumsum(counts) - counts)[rep] + 1  # j = 1 .. N // p for each p
+    first[big[rep] * j] *= local[rep]
+    for p in small[::-1]:
         kmax = 1
         while p ** kmax <= N:
             kmax += 1

@@ -19,21 +19,26 @@ between return the same list; changing that list changes no column.
 
 `to_jsonl` is byte-identical to writing each row, with its config hash, as
 json.dumps(row, sort_keys=True, default=_json_default), one line each, then
-the summary line.  It works one block, and at most a few thousand rows, at
-a time:
+the summary line.  It writes the rows in chunks of at most _CHUNK_ROWS.  A
+chunk runs on across consecutive blocks whose array columns have the same
+names and dtypes; a block with other arrays, or other dtypes, starts a new
+chunk, so no column slice of a chunk is promoted on concatenation.
 
-- the keys in sorted order, the config hash and the block's constant fields
-  are encoded once, into the fixed text between the varying cells;
-- each column chunk is reduced to its distinct values, compared by bit
-  pattern so that 0.0 and -0.0 stay apart; those are encoded in one call,
-  and each cell is taken from them;
-- the rows are one list of fixed text and cells, interleaved by slice
-  assignment, and joined once.
+- The keys in sorted order and the config hash are encoded once per call.
+  With a block's constant fields they make the block's fixed text, the text
+  between the varying cells.
+- Each array column of a chunk is one slice, concatenated across its
+  blocks.  The slice is reduced to its distinct values, compared by bit
+  pattern so that 0.0 and -0.0 stay apart.  Those are encoded in one call,
+  and each cell is taken from them.
+- The chunk's rows are one list of fixed text and cells: each column's
+  cells, and each block's fixed text, go in by slice assignment.  The list
+  is joined once into the chunk's str and freed.
 
-Each chunk is appended to one byte buffer and freed before the next, so no
-chunk outlives its turn and the peak memory of a call does not depend on
-where the allocator put earlier chunks.  Distinct values are found per chunk,
-never over a whole column, for the same reason.
+The chunk strs, then the summary line, are joined once at the end, so the
+output is held twice at most, and each chunk's cells and parts only during
+its own turn.  Distinct values are found per chunk, never over a whole
+column, for the same reason.
 """
 
 from __future__ import annotations
@@ -100,40 +105,87 @@ class ExperimentReport:
         return self._records
 
     def finalize(self, **extra) -> "ExperimentReport":
-        rs = np.sort(self._column("ratio") if "ratio" in self.columns else [])
-        if rs.size:
-            self.summary.update(max_ratio=rs[-1].item(), median_ratio=rs[rs.size // 2].item())
+        if "ratio" in self.columns and len(self):
+            # zero-row blocks left out: their dtype would still promote the rest
+            parts = [
+                cols["ratio"] if "ratio" in cols else np.full(k, consts["ratio"])
+                for k, cols, consts in self._blocks
+                if k
+            ]
+            kinds = {a.dtype.kind for a in parts}
+            # numpy takes int64 with uint64 to float64; as Python ints they stay exact
+            exact = kinds >= {"i", "u"} and kinds <= {"b", "i", "u"}
+            rs = np.sort(np.concatenate(parts, dtype=object if exact else None))
+            top, mid = rs[[-1, rs.size // 2]].tolist()
+            self.summary.update(max_ratio=top, median_ratio=mid)
         self.summary["n_records"] = len(self)
         self.summary.update(extra)
         return self
 
     def to_jsonl(self) -> str:
         keys = sorted({*self.columns, "config_hash"})
-        out = bytearray()  # JSON text is ASCII; one buffer, see the module docstring
-        for k, cols, consts in self._blocks:
-            same = {**consts, "config_hash": self.config_hash}  # one value for every row
-            # fixed[j] is the text before varying[j]; fixed[-1] ends the row
-            fixed, varying, text = [], [], "{"
-            for i, key in enumerate(keys):
-                text += (", " if i else "") + _encode_json(key) + ": "
-                if key in same:
-                    text += _encode_json(same[key])
-                else:
-                    fixed.append(text)
-                    varying.append(cols[key])
-                    text = ""
-            fixed.append(text + "}\n")
-            stride = 2 * len(varying) + 1
-            for a in range(0, k, _CHUNK_ROWS):
-                m = min(k - a, _CHUNK_ROWS)
-                parts = [None] * (m * stride)
-                for j, col in enumerate(varying):
-                    parts[2 * j :: stride] = [fixed[j]] * m
-                    parts[2 * j + 1 :: stride] = _cells(col[a : a + m])
-                parts[stride - 1 :: stride] = [fixed[-1]] * m
-                out += "".join(parts).encode()
-        out += (_encode_json({"summary": self.summary, "config_hash": self.config_hash}) + "\n").encode()
-        return out.decode()
+        # each key's text with the separator before it, encoded once
+        heads = {key: ("{" if i == 0 else ", ") + _encode_json(key) + ": " for i, key in enumerate(keys)}
+        hash_text = _encode_json(self.config_hash)
+        chunks = [_chunk_text(run, heads, hash_text) for run in _runs(self._blocks)]
+        chunks.append(_encode_json({"summary": self.summary, "config_hash": self.config_hash}) + "\n")
+        return "".join(chunks)
+
+
+def _runs(blocks):
+    """The rows in chunks of at most _CHUNK_ROWS: each a list of
+    (block, first row, rows) pieces of consecutive blocks whose array
+    columns have the same names and dtypes."""
+    run, rows, layout = [], 0, None
+    for block in blocks:
+        k, cols, _ = block
+        dtypes = {c: v.dtype for c, v in cols.items()}
+        if run and dtypes != layout:
+            yield run
+            run, rows = [], 0
+        layout, a = dtypes, 0
+        while a < k:
+            m = min(k - a, _CHUNK_ROWS - rows)
+            run.append((block, a, m))
+            rows, a = rows + m, a + m
+            if rows == _CHUNK_ROWS:
+                yield run
+                run, rows = [], 0
+    if run:
+        yield run
+
+
+def _chunk_text(run, heads, hash_text) -> str:
+    """The JSON lines of one chunk's rows (see the module docstring)."""
+    # each piece's encoded constants; the config hash wins over a column of that name
+    sames = [
+        {**{c: _encode_json(v) for c, v in consts.items()}, "config_hash": hash_text} for (*_, consts), *_ in run
+    ]
+    varying = [key for key in heads if key not in sames[0]]
+    stride, rows = 2 * len(varying) + 1, sum(m for _, _, m in run)
+    parts = [None] * (rows * stride)
+    for j, key in enumerate(varying):
+        parts[2 * j + 1 :: stride] = _cells(np.concatenate([cols[key][a : a + m] for (_, cols, _), a, m in run]))
+    r = 0
+    for same, (_, _, m) in zip(sames, run):
+        for j, text in enumerate(_fixed_text(heads, same)):
+            parts[r * stride + 2 * j : (r + m) * stride : stride] = [text] * m
+        r += m
+    return "".join(parts)
+
+
+def _fixed_text(heads, same) -> list:
+    """A row's text around its varying cells, given the encoded constants:
+    item j comes before the j-th varying cell, the last one ends the row."""
+    fixed, text = [], ""
+    for key, head in heads.items():
+        if key in same:
+            text += head + same[key]
+        else:
+            fixed.append(text + head)
+            text = ""
+    fixed.append(text + "}\n")
+    return fixed
 
 
 def _cells(col: np.ndarray) -> list:

@@ -1,19 +1,23 @@
 """Brute-force oracles and reference computations shared by the test modules.
 
-All are independent of shiftconv except two.  direct_t checks T's CRT
+All are independent of shiftconv except three.  direct_t checks T's CRT
 reindexing and takes its S vectors from the package's S kernel.
+jsonl_reference writes a report's rows by json.dumps, with the package's
+default hook for numpy scalars and complex values.
 contraction_prime_factor, the reference for the FFT kernel of S's prime
 factors, is the phase-matrix contraction that kernel replaced; it builds
 its own units and inverses, and reads the package's phases and Kloosterman
 row, which test_arith checks against brute_kloosterman.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
 from shiftconv.charsums import _eq_pow, _kloosterman, char_sum_S_factored
+from shiftconv.util import _json_default
 
 
 def divisors(n):
@@ -130,3 +134,35 @@ def exact_l2_error(A):
             terms.append(v * v2 * t * (2.0 * math.pi - t) / (8.0 * D * D))
     theta = 2.0 * math.pi * A.delta
     return 2.0 / (theta * theta * A.moduli.L ** 2) * math.fsum(terms)
+
+
+def gl3_first_row_by_primes(lam2, N):
+    """lam(1, n) for n <= N, from lam2[p] = lambda2(p), by one multiplicative
+    pass per prime, largest first, with the h_k recurrence of coeffs at every
+    prime: the sieve that build_gl3_sym2_table batches above sqrt(N)."""
+    primes = [p for p in range(2, N + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    first = np.ones(N + 1)
+    for p in primes[::-1]:
+        kmax = 1
+        while p ** kmax <= N:
+            kmax += 1
+        c = float(lam2[p]) ** 2 - 1.0
+        h = [0.0, 0.0, 1.0]  # h_{-2}, h_{-1}, h_0, then h_1 .. h_kmax
+        for _ in range(kmax):
+            h.append(c * (h[-1] - h[-2]) + h[-3])
+        h = h[2:]
+        local = np.array([h[s] * h[s] - h[s + 1] * h[s - 1] for s in range(1, kmax)])  # lam(1, p^s)
+        v = np.zeros(N // p, dtype=np.intp)  # v[j - 1] = ord_p(j)
+        pk = p
+        while pk <= N // p:
+            v[pk - 1 :: pk] += 1
+            pk *= p
+        first[p::p] *= local[v]
+    return first
+
+
+def jsonl_reference(rep, rows):
+    """json.dumps of each row of rep with its config hash, then the summary line."""
+    lines = [dict(r, config_hash=rep.config_hash) for r in rows]
+    lines.append({"summary": rep.summary, "config_hash": rep.config_hash})
+    return "".join(json.dumps(d, sort_keys=True, default=_json_default) + "\n" for d in lines)

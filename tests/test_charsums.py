@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_kloosterman, contraction_prime_factor, direct_t
+from oracles import brute_kloosterman, contraction_prime_factor, direct_t, jsonl_reference
 from shiftconv import arith
 from shiftconv import charsums as cs
 from shiftconv.arith import PrimeModulus, factorize, kloosterman_table
@@ -935,6 +935,7 @@ class TestBoundCensus:
             tracemalloc.stop()
         assert held < 10_000_000
         assert peak < 3 * len(text)
+        assert text == jsonl_reference(rep, rep.records)
 
     def test_progress_is_logged_at_debug_only(self, caplog):
         s_fam = cs.SCensusFamily(primes=(3, 5, 7), m2_max=2, n_max=2, h_max=2)

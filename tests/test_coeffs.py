@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import kronecker_delta_integers
+from oracles import gl3_first_row_by_primes, kronecker_delta_integers
 
 from shiftconv import coeffs
 from shiftconv.errors import InsufficientBase, OutOfRange, UnsupportedWeight
@@ -76,6 +76,11 @@ CODEC_CASES = {
 @pytest.fixture(scope="module")
 def gl2():
     return coeffs.build_gl2_table(12, 4000)
+
+
+@pytest.fixture(scope="module")
+def gl2_50k():
+    return coeffs.build_gl2_table(12, 50_000)
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +306,12 @@ class TestGL3:
         # lam(1, n) is the row itself: the Hecke sum has the one term d = 1
         lam = np.array([gl3.lam(1, n) for n in range(1, gl3.N + 1)])
         assert np.array_equal(gl3.first_row[1:], lam)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 25, 6000, 50_000])  # 25 = 5^2 keeps 5 in the loop
+    def test_first_row_is_bit_identical_to_the_prime_by_prime_sieve(self, gl2_50k, N):
+        got = coeffs.build_gl3_sym2_table(gl2_50k, N).first_row
+        want = gl3_first_row_by_primes(gl2_50k.values, N)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_insufficient_base(self, gl2):
         with pytest.raises(InsufficientBase):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import jsonl_reference
 
 from shiftconv import reports
 from shiftconv.charsums import SCensusFamily, TCensusFamily, bound_census
@@ -107,13 +108,6 @@ _CONSTANTS = {
 }
 
 
-def _reference(rep, rows):
-    """json.dumps of each row with its config hash, then the summary line."""
-    lines = [dict(r, config_hash=rep.config_hash) for r in rows]
-    lines.append({"summary": rep.summary, "config_hash": rep.config_hash})
-    return "".join(json.dumps(d, sort_keys=True, default=reports._json_default) + "\n" for d in lines)
-
-
 @pytest.mark.parametrize("split", [0, 1, 3, 4])  # rows added as one-row blocks, then one block
 def test_jsonl_is_byte_identical_for_rows_and_blocks(split):
     rows = [{**{c: v[i].item() for c, v in _ARRAYS.items()}, **_CONSTANTS} for i in range(4)]
@@ -124,7 +118,7 @@ def test_jsonl_is_byte_identical_for_rows_and_blocks(split):
         rep.add(**{c: v[split:] for c, v in _ARRAYS.items()}, **_CONSTANTS)
     rep.finalize()
     assert rep.summary["n_records"] == 4
-    assert rep.to_jsonl() == _reference(rep, rows)
+    assert rep.to_jsonl() == jsonl_reference(rep, rows)
 
 
 def test_jsonl_over_several_chunks():
@@ -140,7 +134,115 @@ def test_jsonl_over_several_chunks():
     rows.append({"i": -1, "x": 0.5, "ratio": 1.5, "q": 7})
     assert rep.records == rows
     assert rep.summary["max_ratio"] == max(r["ratio"] for r in rows)
-    assert rep.to_jsonl() == _reference(rep, rows)
+    assert rep.to_jsonl() == jsonl_reference(rep, rows)
+
+
+def _rows_of(adds, names):
+    """The rows that add calls with these fields stand for."""
+    rows = []
+    for fields in adds:
+        k = next(len(v) for v in fields.values() if isinstance(v, np.ndarray))
+        cols = {c: fields[c].tolist() if isinstance(fields[c], np.ndarray) else [fields[c]] * k for c in names}
+        rows += [{c: cols[c][i] for c in names} for i in range(k)]
+    return rows
+
+
+def _report_of(adds, names):
+    rep = ExperimentReport(names, {"family": "demo"})
+    for fields in adds:
+        rep.add(**fields)
+    return rep.finalize()
+
+
+# Blocks that share a chunk of rows, or must not: each case is a list of add
+# calls on the columns "v" and "w".
+_CROSS_BLOCK_CASES = {
+    # int64 then uint64 under one name: concatenated, both become float64
+    # and 0 would be written as 0.0
+    "int64_then_uint64": [
+        {"v": np.array([0, -5], dtype=np.int64), "w": 1},
+        {"v": np.array([0, 2 ** 64 - 1], dtype=np.uint64), "w": 1},
+        {"v": np.array([0, 7], dtype=np.int64), "w": 1},
+    ],
+    "float32_then_float64": [
+        {"v": np.array([0.1, 0.5], dtype=np.float32), "w": 2},
+        {"v": np.array([0.1, 0.5]), "w": 2},
+    ],
+    "arrays_change": [
+        {"v": np.array([1, 2]), "w": 0.5},
+        {"v": 3, "w": np.array([0.25, 0.75, 1.0])},
+        {"v": np.array([4]), "w": np.array([2.5])},
+        {"v": np.array([5, 6]), "w": "x"},
+    ],
+    # 1000 blocks of 9 rows, each with its own constant: several full chunks
+    "many_small_blocks": [
+        {"v": np.arange(9) * b, "w": b} for b in range(1000)
+    ],
+    "large_block_between_small_ones": [
+        *({"v": np.arange(7) - b, "w": -b} for b in range(3)),
+        {"v": np.arange(reports._CHUNK_ROWS + 50) % 97, "w": 0.5},
+        *({"v": np.arange(7) + b, "w": b} for b in range(3)),
+    ],
+    "zero_row_blocks": [
+        {"v": np.array([], dtype=np.int64), "w": 9},
+        {"v": np.array([1, 2]), "w": 1},
+        {"v": np.array([], dtype=np.float32), "w": np.array([], dtype=np.uint8)},
+        {"v": np.array([3]), "w": 1},
+        {"v": np.array([], dtype=np.int64), "w": 2},
+        *({"v": np.arange(9), "w": b} for b in range(500)),
+        {"v": np.array([], dtype=np.bool_), "w": 3},
+    ],
+}
+
+
+@pytest.mark.parametrize("adds", list(_CROSS_BLOCK_CASES.values()), ids=list(_CROSS_BLOCK_CASES))
+def test_jsonl_of_chunks_across_blocks(adds):
+    rep = _report_of(adds, ["v", "w"])
+    rows = _rows_of(adds, ["v", "w"])
+    assert len(rep) == len(rows)
+    assert rep.to_jsonl() == jsonl_reference(rep, rows)
+
+
+def test_chunks_span_blocks_of_one_layout_only():
+    adds = _CROSS_BLOCK_CASES["int64_then_uint64"] + _CROSS_BLOCK_CASES["many_small_blocks"]
+    runs = list(reports._runs(_report_of(adds, ["v", "w"])._blocks))
+    assert [sum(m for _, _, m in run) for run in runs] == [2, 2, 2 + reports._CHUNK_ROWS - 2, reports._CHUNK_ROWS, 9000 - 2 * reports._CHUNK_ROWS + 2]
+
+
+# ratio columns of one kind across blocks, and block constants of it
+_RATIO_CASES = {
+    "int64": [np.array([5, -3, 7]), np.array([2 ** 62, 0]), -(2 ** 60)],
+    "uint64": [np.array([5, 3], dtype=np.uint64), np.array([2 ** 63 - 1], dtype=np.uint64), 9],
+    "int8_and_int": [np.array([5, -3], dtype=np.int8), 4, np.int64(-9)],
+    "bool": [np.array([True, False, True]), False, np.bool_(True)],
+    "float64": [np.array([0.1, 1e300, -0.0]), np.array([float("-inf"), 2.5]), 0.75],
+    "float32": [np.array([0.1, -2.5], dtype=np.float32), np.float32(0.3), np.array([3.0], dtype=np.float32)],
+    "float16_and_int": [np.array([0.1, 2], dtype=np.float16), 3, np.array([0.5])],
+    "float_and_bool": [np.array([0.1, 2.0]), True, np.array([-1.5])],
+}
+
+
+@pytest.mark.parametrize("ratios", list(_RATIO_CASES.values()), ids=list(_RATIO_CASES))
+def test_summary_ratios_are_those_of_the_python_values(ratios):
+    rep = ExperimentReport(["i", "ratio"], {"family": "demo"})
+    for r in ratios:
+        rep.add(i=np.arange(len(r) if isinstance(r, np.ndarray) else 2), ratio=r)
+    rep.add(i=np.arange(0), ratio=np.array([], dtype=np.uint64))  # zero rows promote nothing
+    rep.finalize()
+    # the ratios as the Python values of the rows, sorted by numpy
+    want = np.sort(np.array([r["ratio"] for r in rep.records]))
+    got = (rep.summary["max_ratio"], rep.summary["median_ratio"])
+    assert got == (want[-1].item(), want[want.size // 2].item())
+    assert [type(v) for v in got] == [type(want[-1].item()), type(want[want.size // 2].item())]
+
+
+def test_summary_ratios_of_int64_with_uint64_stay_exact_ints():
+    rep = ExperimentReport(["i", "ratio"], {"family": "demo"})
+    rep.add(i=np.arange(2), ratio=np.array([2 ** 53 + 1, -1]))
+    rep.add(i=np.arange(2), ratio=np.array([2 ** 64 - 1, 2 ** 53 + 1], dtype=np.uint64))
+    rep.finalize()
+    assert rep.summary["max_ratio"] == 2 ** 64 - 1 and type(rep.summary["max_ratio"]) is int
+    assert rep.summary["median_ratio"] == 2 ** 53 + 1 and type(rep.summary["median_ratio"]) is int
 
 
 def test_empty_report_writes_only_the_summary():
@@ -148,7 +250,7 @@ def test_empty_report_writes_only_the_summary():
     rep.add(a=np.array([], dtype=np.int64), ratio=np.array([]))
     rep.finalize()
     assert rep.records == [] and rep.summary == {"n_records": 0}
-    assert rep.to_jsonl() == _reference(rep, [])
+    assert rep.to_jsonl() == jsonl_reference(rep, [])
     assert len(rep.to_jsonl().splitlines()) == 1
 
 
@@ -213,7 +315,7 @@ _BLOCK_ROWS = st.one_of(st.integers(0, 40), st.integers(reports._CHUNK_ROWS - 1,
 @st.composite
 def _blocks(draw):
     """Fields of each add call, and the rows they stand for."""
-    adds, rows = [], []
+    adds = []
     for _ in range(draw(st.integers(1, 4))):
         k = draw(_BLOCK_ROWS)
         arrays = draw(st.lists(st.sampled_from(_NAMES), min_size=1, unique=True))
@@ -226,10 +328,8 @@ def _blocks(draw):
             pool = np.array(draw(st.lists(_ARRAY_VALUES[dtype], min_size=1, max_size=6)), dtype=dtype)
             # few distinct values, so blocks repeat them
             fields[c] = pool[np.random.default_rng(draw(st.integers(0, 2 ** 32))).integers(0, len(pool), k)]
-        cols = {c: fields[c].tolist() if c in arrays else [fields[c]] * k for c in _NAMES}
         adds.append(fields)
-        rows += [{c: cols[c][i] for c in _NAMES} for i in range(k)]
-    return adds, rows
+    return adds, _rows_of(adds, _NAMES)
 
 
 @given(_blocks())
@@ -241,7 +341,7 @@ def test_jsonl_is_json_dumps_of_any_blocks(case):
         rep.add(**fields)
     rep.finalize()
     assert len(rep) == len(rows)
-    assert rep.to_jsonl() == _reference(rep, rows)
+    assert rep.to_jsonl() == jsonl_reference(rep, rows)
 
 
 @pytest.mark.parametrize(
@@ -260,20 +360,20 @@ def test_census_jsonl_is_json_dumps_of_its_records(census):
     assert len(rep) == rep.summary["n_records"] == len(rows) > 0
     assert rep.summary["max_ratio"] == ratios[-1]
     assert rep.summary["median_ratio"] == ratios[len(ratios) // 2]
-    assert rep.to_jsonl() == _reference(rep, rows)
+    assert rep.to_jsonl() == jsonl_reference(rep, rows)
 
 
-def _census_like_report(blocks: int) -> ExperimentReport:
-    """S-census-shaped blocks of 512 rows: few distinct ints, a constant
-    float column, distinct floats and constant fields."""
+def _census_like_report(blocks: int, rows: int = 512) -> ExperimentReport:
+    """S-census-shaped blocks of at most 512 rows: few distinct ints, a
+    constant float column, distinct floats and constant fields."""
     rng = np.random.default_rng(3)
-    n, h, m2 = (g.ravel() for g in np.meshgrid(*[np.arange(1, 9)] * 3, indexing="ij"))
+    n, h, m2 = (g.ravel()[:rows] for g in np.meshgrid(*[np.arange(1, 9)] * 3, indexing="ij"))
     rep = ExperimentReport(
         ["q1", "q2", "m1", "m2", "n", "h", "abs_sum", "normalizer", "ratio"], {"family": "demo"}
     )
     for b in range(blocks):
-        abs_sum = rng.random(512) * 300.0
-        norm = np.full(512, 143.0 / math.sqrt(1 + b % 4))
+        abs_sum = rng.random(rows) * 300.0
+        norm = np.full(rows, 143.0 / math.sqrt(1 + b % 4))
         rep.add(
             q1=11, q2=13 + b, m1=1 + b % 4, m2=m2, n=n, h=h,
             abs_sum=abs_sum, normalizer=norm, ratio=abs_sum / norm,
@@ -282,14 +382,15 @@ def _census_like_report(blocks: int) -> ExperimentReport:
 
 
 def test_jsonl_peak_memory_stays_near_its_output():
-    # the output is held twice at the end, as bytes and as str; keeping
-    # every cell's text for the whole report measured 2.8x
-    rep = _census_like_report(48)
-    assert len(rep) == 24576
-    tracemalloc.start()
-    try:
-        text = rep.to_jsonl()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.3 * len(text)
+    # the output is held twice at the end, as the chunks' strings and as
+    # their join; keeping every cell's text for the whole report measured 2.8x
+    for blocks, rows in [(48, 512), (2731, 9)]:  # blocks as large as the S census's, and many small ones
+        rep = _census_like_report(blocks, rows)
+        assert len(rep) == blocks * rows
+        tracemalloc.start()
+        try:
+            text = rep.to_jsonl()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * len(text)
