@@ -16,8 +16,9 @@ c_{q1 q2} = c_{q1} c_{q2}, and sinc(x) = sin(pi x) / (pi x).
 Each factor is sieved over a window of n: c_p(n) = -1 except at the
 multiples of p, so a prime costs one strided add over 1/p of the window.
 The L^2 distance from 1 is sum_{n != 0} |a_n|^2 (Parseval), summed in
-windows of 2^16 n whose sines come from one table of sin and cos by angle
-addition, and reported with a certified divisor-pair tail majorant.
+windows of 2^14 n, each computed in the same few buffers, whose sines come
+from one table of sin and cos by angle addition, and reported with a
+certified divisor-pair tail majorant.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from .util import as_index
 
 log = logging.getLogger(__name__)
 
-# n per l2_error window: the window's arrays stay cache-sized.  The window
-# size is also the length of the sin/cos table, and it sets the order in
-# which the partial sum rounds, so changing it moves the last bits of the
-# partial sum
-_L2_CHUNK = 1 << 16
+# n per l2_error window.  A window holds the sin and cos tables of 2^14
+# floats and four 128 kB rows (two sieve rows, a scratch row and n), 768 kB,
+# which fits a core's L2.  The size also fixes the order in which the
+# partial sum rounds, so changing it moves the last bits of the partial sum
+_L2_CHUNK = 1 << 14
 
 # rows of divisor values per block of the tail's lcm matrix
 _TAIL_BLOCK = 32
@@ -136,21 +137,25 @@ def approximant_eval(A: Approximant, x: float | np.ndarray) -> float | np.ndarra
     return float(vals) if xs.ndim == 0 else vals
 
 
-def _ramanujan_rows(ms: ModuliSet, lo: int, count: int) -> np.ndarray:
+def _ramanujan_rows(ms: ModuliSet, lo: int, count: int, rows: np.ndarray | None = None) -> np.ndarray:
     """sum_q c_q(n) for n = lo, ..., lo + count - 1, as (sum over P1)(sum
     over P2) of c_p(n) = p - 1 if p | n else -1.
 
-    Each row is sieved: it starts at -|P| and gains p at the multiples of
+    Each factor is sieved: it starts at -|P| and gains p at the multiples of
     each p in P, so a prime touches count / p entries.  Every value is a
-    small integer, exact in a float.
+    small integer, exact in a float.  The factors are sieved into rows, a
+    (2, >= count) float buffer (allocated if None), and their product
+    overwrites rows[0, :count] and is returned, so a caller that passes the
+    same rows for every window allocates nothing.
     """
-    rows = []
-    for primes in (ms.P1, ms.P2):
-        row = np.full(count, -float(len(primes)))
+    if rows is None:
+        rows = np.empty((2, count))
+    first, second = rows[0, :count], rows[1, :count]
+    for row, primes in ((first, ms.P1), (second, ms.P2)):
+        row.fill(-float(len(primes)))
         for p in primes:
             row[-lo % p :: p] += p
-        rows.append(row)
-    return rows[0] * rows[1]
+    return np.multiply(first, second, out=first)
 
 
 def fourier_coeff(A: Approximant, n: int) -> complex:
@@ -190,19 +195,48 @@ def _multiples_tail(N: int, D) -> np.ndarray:
     return np.where(K > 0, 1.0 / np.maximum(K, 1), math.pi ** 2 / 6.0) / (D * D)
 
 
+def _partial_sum(A: Approximant, n_max: int) -> float:
+    """sum_{n=1}^{n_max} (row_n sin(theta n) / theta n)^2, theta = 2 pi delta,
+    window by window (see l2_error), each window in the same buffers: the two
+    sieve rows, whose first takes the product and then a_n and whose second
+    the sine, one scratch row for sin(theta j) cos(theta lo) and then theta n,
+    and the n of the window, moved on by _L2_CHUNK (exact: n < 2^53)."""
+    theta = 2.0 * math.pi * A.delta
+    size = min(n_max, _L2_CHUNK)
+    angles = theta * np.arange(size)
+    sin_j, cos_j = np.sin(angles), np.cos(angles)
+    del angles
+    rows, scratch, n = np.empty((2, size)), np.empty(size), np.arange(1.0, size + 1.0)
+    total = 0.0
+    for lo in range(1, n_max + 1, _L2_CHUNK):
+        count = min(n_max + 1 - lo, _L2_CHUNK)
+        row, sine, tmp = _ramanujan_rows(A.moduli, lo, count, rows), rows[1, :count], scratch[:count]
+        np.multiply(cos_j[:count], math.sin(theta * lo), out=sine)
+        np.multiply(sin_j[:count], math.cos(theta * lo), out=tmp)
+        sine += tmp
+        row *= sine
+        np.multiply(theta, n[:count], out=tmp)
+        row /= tmp
+        total += float(np.einsum("i,i->", row, row))
+        n += _L2_CHUNK
+    return total
+
+
 def l2_error(A: Approximant, n_max: int) -> L2Error:
     """sum_{0 < |n| <= n_max} |a_n|^2 plus an explicit tail majorant.
 
     n_max must be an integer (numpy integers included) of at least 1/delta,
     with n_max + Q^2 < 2^53 for the tail (Q = max_modulus).
-    The partial sum runs over windows of _L2_CHUNK = 2^16 n, each with its
-    own sieved Ramanujan rows, so memory does not grow with n_max.  With
-    theta = 2 pi delta, a_n = row_n sin(theta n) / (L theta n); the window
-    at lo takes sin(theta (lo + j)) = sin(theta lo) cos(theta j)
+    The partial sum runs over windows of _L2_CHUNK = 2^14 n, each sieving
+    its Ramanujan rows into the same preallocated buffers, so memory does
+    not grow with n_max.  With theta = 2 pi delta,
+    a_n = row_n sin(theta n) / (L theta n); the window at lo takes
+    sin(theta (lo + j)) = sin(theta lo) cos(theta j)
     + cos(theta lo) sin(theta j) from one table of sin and cos of theta j,
     j < _L2_CHUNK, built once per call, so a window costs two scalar sines
     and no array sine.  Each window sums (row_n sin(theta n) / theta n)^2
-    without BLAS, and 2 / L^2 scales the total once.
+    without BLAS, and 2 / L^2 scales the total once.  The buffers and the
+    tables are freed before the tail is summed.
 
     Tail:  |a_n| <= (1 / 2 pi delta L |n|) |sum_q c_q(n)|, and expanding
     (sum_q sum_{d | (n,q)} d)^2 over divisor pairs, grouped by value d with
@@ -231,18 +265,7 @@ def l2_error(A: Approximant, n_max: int) -> L2Error:
     if n_max + A.moduli.max_modulus ** 2 >= 2**53:  # every lcm is at most Q^2
         raise OutOfRange("need n_max + Q^2 < 2^53, so the tail's floats stay exact integers")
     L, delta = A.moduli.L, A.delta
-    theta = 2.0 * math.pi * delta
-    angles = theta * np.arange(min(n_max, _L2_CHUNK))
-    sin_j, cos_j = np.sin(angles), np.cos(angles)
-    del angles
-    total = 0.0
-    for lo in range(1, n_max + 1, _L2_CHUNK):
-        count = min(n_max + 1 - lo, _L2_CHUNK)
-        row = _ramanujan_rows(A.moduli, lo, count)
-        row *= cos_j[:count] * math.sin(theta * lo) + sin_j[:count] * math.cos(theta * lo)
-        row /= theta * np.arange(lo, lo + count, dtype=float)
-        total += float(np.einsum("i,i->", row, row))
-    partial = 2.0 * total / L**2
+    partial = 2.0 * _partial_sum(A, n_max) / L**2
     P1, P2 = A.moduli.P1, A.moduli.P2
     # d = a b ascending; w_d = (a, or |P1| at a = 1) (b, or |P2| at b = 1)
     ia, ib = np.divmod(np.argsort(np.outer((1, *P1), (1, *P2)), axis=None), len(P2) + 1)

@@ -205,9 +205,10 @@ def build_gl3_sym2_table(base: GL2CoefficientTable, N: int) -> GL3CoefficientTab
     # A prime above sqrt(N) divides each n <= N at most once, and no n has two
     # of them, so all of them are one pass, taken first: lam(1, p) = h_1 h_1 - h_2 h_0
     # with h_1 = c, h_2 = c (c - 1) + 0.0, as the recurrence below gives them.
-    # The square stays Python's float ** (libm pow), which now and then
-    # differs from v * v in the last bit.
-    c = np.array([v ** 2 for v in base.values[big].tolist()]) - 1.0
+    # Every square is a product, which IEEE rounds correctly on any platform;
+    # Python's ** calls libm pow, whose last bit differs between libms.
+    lam_p = base.values[big]
+    c = lam_p * lam_p - 1.0
     local = c * c - (c * (c - 1.0) + 0.0) * 1.0
     counts = N // big
     rep = np.repeat(np.arange(big.size), counts)
@@ -217,7 +218,8 @@ def build_gl3_sym2_table(base: GL2CoefficientTable, N: int) -> GL3CoefficientTab
         kmax = 1
         while p ** kmax <= N:
             kmax += 1
-        c = base.lam(p) ** 2 - 1.0
+        lam_p = base.lam(p)
+        c = lam_p * lam_p - 1.0
         h = [0.0, 0.0, 1.0]  # h_{-2}, h_{-1}, h_0, then the recurrence up to h_kmax
         for _ in range(kmax):
             h.append(c * (h[-1] - h[-2]) + h[-3])

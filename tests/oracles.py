@@ -136,6 +136,33 @@ def exact_l2_error(A):
     return 2.0 / (theta * theta * A.moduli.L ** 2) * math.fsum(terms)
 
 
+def windowed_partial_sum(A, n_max, window):
+    """The partial sum of l2_error, sum_{0 < |n| <= n_max} |a_n|^2, by its
+    plain loop over windows of `window` n, each allocating its own arrays:
+    the two Ramanujan factors sieved afresh, their product, the sine by
+    angle addition from one table of sin and cos of theta j, j < window,
+    and theta n.  The window size fixes the order of rounding, so at
+    window = circle._L2_CHUNK this is l2_error's partial sum bit for bit."""
+    P1, P2 = A.moduli.P1, A.moduli.P2
+    theta = 2.0 * math.pi * A.delta
+    angles = theta * np.arange(min(n_max, window))
+    sin_j, cos_j = np.sin(angles), np.cos(angles)
+    total = 0.0
+    for lo in range(1, n_max + 1, window):
+        count = min(n_max + 1 - lo, window)
+        factors = []
+        for primes in (P1, P2):
+            factor = np.full(count, -float(len(primes)))
+            for p in primes:
+                factor[-lo % p :: p] += p
+            factors.append(factor)
+        row = factors[0] * factors[1]
+        row *= cos_j[:count] * math.sin(theta * lo) + sin_j[:count] * math.cos(theta * lo)
+        row /= theta * np.arange(lo, lo + count, dtype=float)
+        total += float(np.einsum("i,i->", row, row))
+    return 2.0 * total / A.moduli.L ** 2
+
+
 def gl3_first_row_by_primes(lam2, N):
     """lam(1, n) for n <= N, from lam2[p] = lambda2(p), by one multiplicative
     pass per prime, largest first, with the h_k recurrence of coeffs at every
@@ -146,7 +173,8 @@ def gl3_first_row_by_primes(lam2, N):
         kmax = 1
         while p ** kmax <= N:
             kmax += 1
-        c = float(lam2[p]) ** 2 - 1.0
+        lam_p = float(lam2[p])
+        c = lam_p * lam_p - 1.0
         h = [0.0, 0.0, 1.0]  # h_{-2}, h_{-1}, h_0, then h_1 .. h_kmax
         for _ in range(kmax):
             h.append(c * (h[-1] - h[-2]) + h[-3])

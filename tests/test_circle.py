@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import divisors, exact_l2_error, ramanujan_sum
+from oracles import divisors, exact_l2_error, ramanujan_sum, windowed_partial_sum
 from shiftconv import circle
 from shiftconv.arith import euler_phi
 from shiftconv.errors import OutOfRange, OverlappingRanges
@@ -273,17 +273,50 @@ class TestL2Error:
         want = np.where(K > 0, 1.0 / np.maximum(K, 1), math.pi**2 / 6.0) / (D * D)
         assert np.array_equal(circle._multiples_tail(N, D), want)
 
-    # n_max below one window, at two full windows and one past them; at
-    # delta = Q^-1.5 the period 1/delta of the sine is not an integer, so
-    # no window starts at the same phase
+    # n_max below one window, inside the second, at two full windows and
+    # one past them, and at eight (2^17) and one past; at delta = Q^-1.5
+    # the period 1/delta of the sine is not an integer, so no window starts
+    # at the same phase
     @pytest.mark.parametrize("e", [-1.0, -1.5])
-    @pytest.mark.parametrize("n_max", [20000, 2 * circle._L2_CHUNK, 2 * circle._L2_CHUNK + 1])
+    @pytest.mark.parametrize(
+        "n_max",
+        [
+            circle._L2_CHUNK - 1, 20000, 2 * circle._L2_CHUNK, 2 * circle._L2_CHUNK + 1,
+            8 * circle._L2_CHUNK, 8 * circle._L2_CHUNK + 1,
+        ],
+    )
     @pytest.mark.parametrize("Q1,Q2", [(3, 11), (5, 23)])
     def test_partial_matches_sinc(self, Q1, Q2, e, n_max):
         ms = circle.build_moduli_set(Q1, Q2, 1)
         A = circle.Approximant(moduli=ms, delta=float(ms.max_modulus) ** e)
         assert e == -1.0 or 1.0 / A.delta != int(1.0 / A.delta)
         assert circle.l2_error(A, n_max).partial == pytest.approx(sinc_partial(A, n_max), rel=1e-13)
+
+    # the benchmark's set, and n_max below one window, at three and 5 past
+    # three; delta = Q^-1.5 starts no two windows at the same phase
+    WINDOW_CASES = {
+        "30-200-1.2e6": (30, 200, -1.0, 1_200_000),
+        **{
+            f"{Q1}-{Q2}-Q^{e}-{name}": (Q1, Q2, e, n_max)
+            for Q1, Q2 in [(3, 11), (5, 23)]
+            for e in (-1.0, -1.5)
+            for name, n_max in [
+                ("below", circle._L2_CHUNK - 1),
+                ("multiple", 3 * circle._L2_CHUNK),
+                ("multiple+5", 3 * circle._L2_CHUNK + 5),
+            ]
+        },
+    }
+
+    @pytest.mark.parametrize("Q1,Q2,e,n_max", WINDOW_CASES.values(), ids=WINDOW_CASES.keys())
+    def test_partial_equals_window_loop(self, Q1, Q2, e, n_max):
+        # the reused buffers change no rounding: bit for bit the plain loop
+        # at the same window size, and within 1e-15 of it at 2^16 n
+        ms = circle.build_moduli_set(Q1, Q2, 1)
+        A = circle.Approximant(moduli=ms, delta=float(ms.max_modulus) ** e)
+        partial = circle.l2_error(A, n_max).partial
+        assert partial == windowed_partial_sum(A, n_max, circle._L2_CHUNK)
+        assert partial == pytest.approx(windowed_partial_sum(A, n_max, 1 << 16), rel=1e-15)
 
     def test_fields_are_python_floats(self, small_set):
         A = circle.Approximant(moduli=small_set, delta=1.0 / small_set.max_modulus)
@@ -377,9 +410,14 @@ class TestL2Error:
         assert peak < 100_000
 
     def test_memory_is_chunk_sized(self):
-        # n_max = 1.2e6 in 2^16-n chunks: at most 8 float arrays of one
+        # n_max = 1.2e6 in 2^14-n chunks: at most 8 float arrays of one
         # window are alive at once, the tail included
         assert self.l2_peak(1_200_000) < 8 * 8 * circle._L2_CHUNK
+
+    def test_memory_fits_a_window(self):
+        # the sin/cos tables and the four rows of one 2^14-n window are
+        # 768 kB; they are freed before the tail, so its blocks add nothing
+        assert self.l2_peak(1_200_000) < 1_000_000
 
     def test_tail_memory_is_blocked(self):
         # one window of 24,001 n: a whole 264 x 264 lcm matrix (2.9 MB

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import gl3_first_row_by_primes, kronecker_delta_integers
 
 from shiftconv import coeffs
+from shiftconv.arith import primes_between
 from shiftconv.errors import InsufficientBase, OutOfRange, UnsupportedWeight
 
 # First integer coefficients of the weight-12 form (classical, hand-checkable
@@ -312,6 +313,20 @@ class TestGL3:
         got = coeffs.build_gl3_sym2_table(gl2_50k, N).first_row
         want = gl3_first_row_by_primes(gl2_50k.values, N)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_large_primes_square_by_product(self):
+        # at every prime p > sqrt(N), lam(1, p) = c c - (c (c - 1) + 0.0) 1.0
+        # with c = v v - 1, v = lambda2(p), in Python floats; with glibc's
+        # pow, v ** 2 in place of v * v misses at 7 of these 9,527 primes
+        N = 100_000
+        gl2 = coeffs.build_gl2_table(12, N)
+        row = coeffs.build_gl3_sym2_table(gl2, N).first_row
+        primes = [p for p in primes_between(2, N) if p * p > N]
+        assert len(primes) == 9527
+        for p in primes:
+            v = gl2.lam(p)
+            c = v * v - 1.0
+            assert row[p] == c * c - (c * (c - 1.0) + 0.0) * 1.0, p
 
     def test_insufficient_base(self, gl2):
         with pytest.raises(InsufficientBase):
