@@ -114,12 +114,12 @@ def primes_between(lo: int, hi: int) -> list[int]:
     that strikes, for each d <= sqrt(hi), its multiples from max(d^2, lo) on
     (a composite d strikes only composites).  A bytearray, not numpy: a
     first numpy sieve in a process touches ~0.3 MB more of resident memory.
-    A non-integer lo or hi, or lo < 2, raises OutOfRange."""
+    hi < lo gives []; a non-integer lo or hi, or lo < 2, raises OutOfRange."""
     lo, hi = as_index(lo, "lo"), as_index(hi, "hi")
     if lo < 2:
         raise OutOfRange(f"need lo >= 2, got lo={lo}")
     keep = bytearray([1]) * max(hi - lo + 1, 0)
-    for d in range(2, math.isqrt(hi) + 1):
+    for d in range(2, math.isqrt(max(hi, 0)) + 1):
         start = max(d * d, -(-lo // d) * d) - lo
         keep[start::d] = bytes(len(range(start, len(keep), d)))
     return list(itertools.compress(range(lo, hi + 1), keep))

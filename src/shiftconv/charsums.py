@@ -53,7 +53,7 @@ import numpy as np
 
 from .arith import PrimeModulus, is_prime, kloosterman_table, unit_inverses
 from .errors import InvalidDivisor, OutOfRange
-from .reports import ExperimentReport
+from .reports import ExperimentReport, ratio_summary
 from .util import as_index
 
 log = logging.getLogger(__name__)
@@ -322,9 +322,9 @@ class SCensusFamily:
 
     m1 runs over all divisors {1, q1, q2, q1 q2}; tuples with gcd(n h, q) > 1
     are skipped (the bound is stated for n, h coprime to q).  A non-integer
-    or negative count, or a non-integer prime, raises OutOfRange, a
-    composite or repeated prime InvalidDivisor; the fields are stored as
-    given.
+    or negative count, primes that are not a tuple or a list, or a
+    non-integer prime, raise OutOfRange, a composite or repeated prime
+    InvalidDivisor; the fields are stored as given.
     """
 
     primes: tuple
@@ -340,7 +340,8 @@ class SCensusFamily:
 class TCensusFamily:
     """Sweep of T; diagonal=True restricts to q1 = q1t with m = q1 m'.
 
-    Checked at construction as SCensusFamily is, n_values and h_values too.
+    Checked at construction as SCensusFamily is: the prime fields, and
+    n_values and h_values, each a tuple or a list of integers.
     """
 
     q1_primes: tuple
@@ -351,25 +352,25 @@ class TCensusFamily:
     diagonal: bool = False
 
     def __post_init__(self):
-        for name in ("n_values", "h_values"):
-            for v in getattr(self, name):
-                as_index(v, name)
-        _check_family(self, ("m_max",), ("q1_primes", "q2_primes"))
+        _check_family(self, ("m_max",), ("q1_primes", "q2_primes"), ("n_values", "h_values"))
 
 
-def _check_family(family, counts, prime_fields):
+def _check_family(family, counts, prime_fields, int_fields=()):
     for name in counts:
         if as_index(getattr(family, name), name) < 0:
             raise OutOfRange(f"{name} must be >= 0, got {getattr(family, name)}")
-    for name in prime_fields:
-        primes = getattr(family, name)
-        if len({PrimeModulus(q).p for q in primes}) < len(primes):
-            raise InvalidDivisor(f"{name} repeats a prime: {tuple(primes)}")
+    for name in (*prime_fields, *int_fields):
+        values = getattr(family, name)
+        if not isinstance(values, (tuple, list)):  # as the config hash encodes them
+            raise OutOfRange(f"{name} must be a tuple or a list, got {values!r}")
+        ints = [as_index(v, name) for v in values]
+        if name in prime_fields and len({PrimeModulus(q).p for q in ints}) < len(ints):
+            raise InvalidDivisor(f"{name} repeats a prime: {tuple(values)}")
 
 
 def bound_census(family) -> ExperimentReport:
-    """Sweep a family, recording |sum|, the bound-shape normalizer and their
-    ratio per tuple; the summary carries the max ratio.
+    """Sweep a family, recording |sum| and the bound-shape normalizer per
+    tuple; the summary carries the max and median of their ratio.
 
     The bound shape follows the family:
       S                   : (q / sqrt(m1)) sqrt(gcd(q/m1, m2))
@@ -384,9 +385,9 @@ def bound_census(family) -> ExperimentReport:
 
 
 def _census_s(family: SCensusFamily) -> ExperimentReport:
-    cols = ["q1", "q2", "m1", "m2", "n", "h", "abs_sum", "normalizer", "ratio"]
+    cols = ["q1", "q2", "m1", "m2", "n", "h", "abs_sum", "normalizer"]
     rep = ExperimentReport(cols, {"family": "S", **family.__dict__})
-    t0 = time.perf_counter()
+    t0, ratios = time.perf_counter(), []
     m2s, n_box, h_box = (np.arange(1, k + 1, dtype=np.int64) for k in (family.m2_max, family.n_max, family.h_max))
     for q1, q2 in itertools.combinations(family.primes, 2):
         q = q1 * q2
@@ -398,16 +399,17 @@ def _census_s(family: SCensusFamily) -> ExperimentReport:
         for m1, block in zip((1, q1, q2, q), blocks):
             abs_sum = block.ravel()
             norm = np.tile(q / math.sqrt(m1) * np.sqrt(np.gcd(q // m1, m2s)), len(ns) * len(hs))
-            rep.add(q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h, abs_sum=abs_sum, normalizer=norm, ratio=abs_sum / norm)
+            rep.add(q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h, abs_sum=abs_sum, normalizer=norm)
+            ratios.append(abs_sum / norm)
         log.debug("S census (q1, q2) = (%d, %d): %d rows, %.3f s", q1, q2, len(rep), time.perf_counter() - t0)
-    return rep.finalize()
+    return rep.finalize(**ratio_summary(ratios))
 
 
 def _census_t(family: TCensusFamily) -> ExperimentReport:
-    cols = ["q1", "q1t", "q2", "n", "m", "h", "abs_sum", "normalizer", "ratio"]
+    cols = ["q1", "q1t", "q2", "n", "m", "h", "abs_sum", "normalizer"]
     normalizer = "t_diag" if family.diagonal else "t_offdiag"
     rep = ExperimentReport(cols, {"family": "T", "normalizer": normalizer, **family.__dict__})
-    t0 = time.perf_counter()
+    t0, ratios = time.perf_counter(), []
     vanish_checked = vanish_passed = 0
     ks = np.arange(1, family.m_max + 1, dtype=np.int64)
     for q1, q1t, q2 in itertools.product(family.q1_primes, family.q1_primes, family.q2_primes):
@@ -432,8 +434,9 @@ def _census_t(family: TCensusFamily) -> ExperimentReport:
             vanish_checked += v[..., vanish].size
             vanish_passed += int((v[..., vanish] < char_sum_T_tolerance(params)).sum())
         v, m, norm = v[..., ~vanish], m[~vanish], norm[~vanish]
+        ratios.append(v / norm)
         for (i, n), (j, h) in itertools.product(enumerate(family.n_values), enumerate(family.h_values)):
-            rep.add(q1=q1, q1t=q1t, q2=q2, n=n, m=m, h=h, abs_sum=v[i, j], normalizer=norm, ratio=v[i, j] / norm)
+            rep.add(q1=q1, q1t=q1t, q2=q2, n=n, m=m, h=h, abs_sum=v[i, j], normalizer=norm)
         log.debug("T census (q1, q1t, q2) = (%d, %d, %d): %d rows, %.3f s",
                   q1, q1t, q2, len(rep), time.perf_counter() - t0)
-    return rep.finalize(vanish_checked=vanish_checked, vanish_passed=vanish_passed)
+    return rep.finalize(**ratio_summary(ratios), vanish_checked=vanish_checked, vanish_passed=vanish_passed)

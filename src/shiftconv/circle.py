@@ -33,7 +33,7 @@ import numpy as np
 
 from .arith import is_prime, primes_in_dyadic
 from .errors import EmptyRange, InvalidDivisor, OutOfRange, OverlappingRanges
-from .reports import ExperimentReport
+from .reports import ExperimentReport, ratio_summary
 from .util import as_index
 
 log = logging.getLogger(__name__)
@@ -306,9 +306,9 @@ def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 
     one report block per anchor.  An anchor that is not a tuple or list of
     two raises OutOfRange.
 
-    Records L / Q^2 alongside the normalized error ratio: desk-scale prime
-    counts make the density |Q| >> Q^(1-eps) unattainable, so it is reported
-    rather than enforced.
+    Records L / Q^2 beside the error and its bound; the summary carries the
+    max and median of error / bound.  Desk-scale prime counts make the
+    density |Q| >> Q^(1-eps) unattainable, so it is reported, not enforced.
     """
     _check_positive_real(n_max_factor, "n_max_factor")
     # lists once, so a one-shot iterator is not emptied by the check or config
@@ -317,11 +317,11 @@ def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 
         raise OutOfRange(f"anchors must be (Q1, Q2) pairs, got {anchors!r}")
     if not all(isinstance(e, numbers.Real) for e in delta_exponents):
         raise OutOfRange(f"delta_exponents must be real numbers, got {delta_exponents!r}")
-    cols = ["Q1", "Q2", "delta", "L", "density", "error", "bound", "ratio"]
+    cols = ["Q1", "Q2", "delta", "L", "density", "error", "bound"]
     rep = ExperimentReport(
         cols, {"anchors": anchors, "delta_exponents": delta_exponents, "h": h, "n_max_factor": n_max_factor}
     )
-    t0 = time.perf_counter()
+    t0, ratios = time.perf_counter(), []
     for Q1, Q2 in anchors:
         ms = build_moduli_set(Q1, Q2, h)
         Q = ms.max_modulus
@@ -331,12 +331,10 @@ def l2_error_census(anchors, delta_exponents, h: int = 1, n_max_factor: float = 
             err = l2_error(Approximant(moduli=ms, delta=delta), int(n_max_factor / delta)).value
             rows.append((delta, err, Q * Q * math.log(Q) / (delta * ms.L ** 2)))
         delta, error, bound = np.array(rows, dtype=float).reshape(-1, 3).T
-        rep.add(
-            Q1=Q1, Q2=Q2, delta=delta, L=ms.L, density=ms.L / Q ** 2,
-            error=error, bound=bound, ratio=error / bound,
-        )
+        rep.add(Q1=Q1, Q2=Q2, delta=delta, L=ms.L, density=ms.L / Q ** 2, error=error, bound=bound)
+        ratios.append(error / bound)
         log.debug(
             "L2 census (Q1, Q2) = (%d, %d): %d members, %d rows, %.3f s",
             Q1, Q2, len(ms.members), len(rep), time.perf_counter() - t0,
         )
-    return rep.finalize()
+    return rep.finalize(**ratio_summary(ratios))

@@ -105,19 +105,7 @@ class ExperimentReport:
         return self._records
 
     def finalize(self, **extra) -> "ExperimentReport":
-        if "ratio" in self.columns and len(self):
-            # zero-row blocks left out: their dtype would still promote the rest
-            parts = [
-                cols["ratio"] if "ratio" in cols else np.full(k, consts["ratio"])
-                for k, cols, consts in self._blocks
-                if k
-            ]
-            kinds = {a.dtype.kind for a in parts}
-            # numpy takes int64 with uint64 to float64; as Python ints they stay exact
-            exact = kinds >= {"i", "u"} and kinds <= {"b", "i", "u"}
-            rs = np.sort(np.concatenate(parts, dtype=object if exact else None))
-            top, mid = rs[[-1, rs.size // 2]].tolist()
-            self.summary.update(max_ratio=top, median_ratio=mid)
+        """Record n_records, then the extra summary fields; return the report."""
         self.summary["n_records"] = len(self)
         self.summary.update(extra)
         return self
@@ -130,6 +118,16 @@ class ExperimentReport:
         chunks = [_chunk_text(run, heads, hash_text) for run in _runs(self._blocks)]
         chunks.append(_encode_json({"summary": self.summary, "config_hash": self.config_hash}) + "\n")
         return "".join(chunks)
+
+
+def ratio_summary(parts) -> dict:
+    """max_ratio and median_ratio (index len // 2 of the sorted values) of the
+    float arrays in parts, as Python floats; {} when they hold no value."""
+    rs = np.sort(np.concatenate([np.empty(0), *map(np.ravel, parts)]))
+    if not rs.size:
+        return {}
+    top, mid = rs[[-1, rs.size // 2]].tolist()
+    return {"max_ratio": top, "median_ratio": mid}
 
 
 def _runs(blocks):

@@ -288,7 +288,9 @@ class TestPrimesInDyadic:
                 with pytest.raises(EmptyRange):
                     arith.primes_in_dyadic(Q, exclude)
 
-    @pytest.mark.parametrize("lo,hi", [(2, 1), (2, 2), (3, 3), (4, 4), (10, 9), (2, 100), (90, 97), (7919, 7919)])
+    @pytest.mark.parametrize(
+        "lo,hi", [(2, 1), (2, 0), (2, -1), (7, 3), (2, 2), (3, 3), (4, 4), (10, 9), (2, 100), (90, 97), (7919, 7919)]
+    )
     def test_primes_between_edges(self, lo, hi):
         got = arith.primes_between(lo, hi)
         assert got == [p for p in range(lo, hi + 1) if arith.is_prime(p)]

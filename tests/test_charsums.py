@@ -206,10 +206,7 @@ def scalar_census_s(family, pairs=itertools.combinations):
                     for m2 in range(1, family.m2_max + 1):
                         v = abs(cs.char_sum_S_factored(m1, m2, n, h, q1, q2))
                         norm = q / math.sqrt(m1) * math.sqrt(math.gcd(q // m1, m2))
-                        out.append(dict(
-                            q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h,
-                            abs_sum=v, normalizer=norm, ratio=v / norm,
-                        ))
+                        out.append(dict(q1=q1, q2=q2, m1=m1, m2=m2, n=n, h=h, abs_sum=v, normalizer=norm))
     return out
 
 
@@ -239,10 +236,7 @@ def scalar_census_t(family):
                                 continue
                             else:
                                 norm = q1 ** 1.5 * q1t ** 1.5 * q2 ** 2.5 * math.sqrt(math.gcd(m, q2))
-                            out.append(dict(
-                                q1=q1, q1t=q1t, q2=q2, n=n, m=m, h=h,
-                                abs_sum=v, normalizer=norm, ratio=v / norm,
-                            ))
+                            out.append(dict(q1=q1, q1t=q1t, q2=q2, n=n, m=m, h=h, abs_sum=v, normalizer=norm))
     return out, checked, passed
 
 
@@ -345,13 +339,12 @@ class TestSFactoredArrays:
             assert list(r) == list(w)
             assert {k: type(v) for k, v in r.items()} == {
                 **{k: int for k in ("q1", "q2", "m1", "m2", "n", "h")},
-                **{k: float for k in ("abs_sum", "normalizer", "ratio")},
+                **{k: float for k in ("abs_sum", "normalizer")},
             }
             assert [r[k] for k in ("q1", "q2", "m1", "m2", "n", "h", "normalizer")] == [
                 w[k] for k in ("q1", "q2", "m1", "m2", "n", "h", "normalizer")
             ]
             assert r["abs_sum"] == pytest.approx(w["abs_sum"], rel=1e-12, abs=0)
-            assert r["ratio"] == pytest.approx(w["ratio"], rel=1e-12, abs=0)
 
     def test_census_is_the_ordered_loop_without_its_mirror_half(self):
         # S depends on q and m1, not on which prime is q1: the ordered sweep
@@ -367,9 +360,8 @@ class TestSFactoredArrays:
             key = tuple(r[k] for k in fields)
             assert key == tuple(w[k] for k in fields)
             assert r["normalizer"] == w["normalizer"] == mirror[key]["normalizer"]
-            for k in ("abs_sum", "ratio"):
-                assert r[k] == pytest.approx(w[k], rel=1e-12, abs=0)
-                assert r[k] == pytest.approx(mirror[key][k], rel=1e-12, abs=0)
+            assert r["abs_sum"] == pytest.approx(w["abs_sum"], rel=1e-12, abs=0)
+            assert r["abs_sum"] == pytest.approx(mirror[key]["abs_sum"], rel=1e-12, abs=0)
 
 
 def oracle_unit_sum(h, n, m2, q1, q2):
@@ -871,7 +863,7 @@ class TestBoundCensus:
             assert [r[k] for k in ("q1", "q1t", "q2", "n", "m", "h")] == [
                 w[k] for k in ("q1", "q1t", "q2", "n", "m", "h")
             ]
-            for k in ("abs_sum", "normalizer", "ratio"):
+            for k in ("abs_sum", "normalizer"):
                 assert r[k] == pytest.approx(w[k], rel=1e-12, abs=0)
         assert (rep.summary["vanish_checked"], rep.summary["vanish_passed"]) == (checked, passed)
         assert checked == passed
@@ -922,7 +914,7 @@ class TestBoundCensus:
         ]
 
     def test_s_report_memory(self):
-        # the benchmark's S family: 43,008 rows, 7.8 MB of JSON lines
+        # the benchmark's S family: 43,008 rows, 6.5 MB of JSON lines
         fam = cs.SCensusFamily(primes=(11, 13, 17, 19, 23, 29, 31), m2_max=8, n_max=8, h_max=8)
         tracemalloc.start()
         try:

@@ -473,6 +473,10 @@ class TestCensus:
         for row in rep.records:
             assert 0.0 < row["density"] < 1.0
 
+    def test_census_without_anchors_has_no_ratio_summary(self):
+        rep = circle.l2_error_census([], [-1.0])
+        assert rep.records == [] and rep.summary == {"n_records": 0}
+
     def test_config_hash_covers_n_max_factor(self):
         # n_max_factor sets the partial sum's length, so the error it reports
         short, long = (circle.l2_error_census([(3, 11)], [-1.0], n_max_factor=f) for f in (20.0, 500.0))

@@ -28,6 +28,11 @@ def test_console_scripts_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), target
 
 
+def test_version_is_the_pyproject_version():
+    # the benchmark's provenance reads __version__, pip reads pyproject.toml
+    assert shiftconv.__version__ == _pyproject()["project"]["version"]
+
+
 def test_docstring_submodules_import():
     names = re.findall(r"^    (\w+)\s", shiftconv.__doc__.split("Submodules:", 1)[1], re.M)
     assert names

@@ -133,7 +133,6 @@ def test_jsonl_over_several_chunks():
     rows = [{"i": i, "x": v, "ratio": v / 3.0, "q": 7} for i, v in enumerate(x.tolist())]
     rows.append({"i": -1, "x": 0.5, "ratio": 1.5, "q": 7})
     assert rep.records == rows
-    assert rep.summary["max_ratio"] == max(r["ratio"] for r in rows)
     assert rep.to_jsonl() == jsonl_reference(rep, rows)
 
 
@@ -209,40 +208,30 @@ def test_chunks_span_blocks_of_one_layout_only():
     assert [sum(m for _, _, m in run) for run in runs] == [2, 2, 2 + reports._CHUNK_ROWS - 2, reports._CHUNK_ROWS, 9000 - 2 * reports._CHUNK_ROWS + 2]
 
 
-# ratio columns of one kind across blocks, and block constants of it
-_RATIO_CASES = {
-    "int64": [np.array([5, -3, 7]), np.array([2 ** 62, 0]), -(2 ** 60)],
-    "uint64": [np.array([5, 3], dtype=np.uint64), np.array([2 ** 63 - 1], dtype=np.uint64), 9],
-    "int8_and_int": [np.array([5, -3], dtype=np.int8), 4, np.int64(-9)],
-    "bool": [np.array([True, False, True]), False, np.bool_(True)],
-    "float64": [np.array([0.1, 1e300, -0.0]), np.array([float("-inf"), 2.5]), 0.75],
-    "float32": [np.array([0.1, -2.5], dtype=np.float32), np.float32(0.3), np.array([3.0], dtype=np.float32)],
-    "float16_and_int": [np.array([0.1, 2], dtype=np.float16), 3, np.array([0.5])],
-    "float_and_bool": [np.array([0.1, 2.0]), True, np.array([-1.5])],
+# float ratio arrays, and the sorted values they stand for
+_RATIO_SUMMARY_CASES = {
+    "one_array": ([np.array([0.5, 0.25, 2.0])], [0.25, 0.5, 2.0]),
+    "across_arrays": ([np.array([0.1, 1e300, -0.0]), np.array([-math.inf, 2.5])], [-math.inf, -0.0, 0.1, 2.5, 1e300]),
+    "empty_and_2d": ([np.array([]), np.array([[3.0, 1.0], [2.0, 0.75]])], [0.75, 1.0, 2.0, 3.0]),
+    "one_value": ([np.array([]), np.array([7.5])], [7.5]),
 }
 
 
-@pytest.mark.parametrize("ratios", list(_RATIO_CASES.values()), ids=list(_RATIO_CASES))
-def test_summary_ratios_are_those_of_the_python_values(ratios):
-    rep = ExperimentReport(["i", "ratio"], {"family": "demo"})
-    for r in ratios:
-        rep.add(i=np.arange(len(r) if isinstance(r, np.ndarray) else 2), ratio=r)
-    rep.add(i=np.arange(0), ratio=np.array([], dtype=np.uint64))  # zero rows promote nothing
-    rep.finalize()
-    # the ratios as the Python values of the rows, sorted by numpy
-    want = np.sort(np.array([r["ratio"] for r in rep.records]))
-    got = (rep.summary["max_ratio"], rep.summary["median_ratio"])
-    assert got == (want[-1].item(), want[want.size // 2].item())
-    assert [type(v) for v in got] == [type(want[-1].item()), type(want[want.size // 2].item())]
+@pytest.mark.parametrize("parts,values", list(_RATIO_SUMMARY_CASES.values()), ids=list(_RATIO_SUMMARY_CASES))
+def test_ratio_summary_is_max_and_middle_of_the_sorted_values(parts, values):
+    got = reports.ratio_summary(parts)
+    assert got == {"max_ratio": values[-1], "median_ratio": values[len(values) // 2]}
+    assert [type(v) for v in got.values()] == [float, float]
 
 
-def test_summary_ratios_of_int64_with_uint64_stay_exact_ints():
+def test_ratio_summary_without_values_is_empty():
+    assert reports.ratio_summary([]) == reports.ratio_summary([np.array([]), np.zeros((2, 0))]) == {}
+
+
+def test_finalize_special_cases_no_column():
     rep = ExperimentReport(["i", "ratio"], {"family": "demo"})
-    rep.add(i=np.arange(2), ratio=np.array([2 ** 53 + 1, -1]))
-    rep.add(i=np.arange(2), ratio=np.array([2 ** 64 - 1, 2 ** 53 + 1], dtype=np.uint64))
-    rep.finalize()
-    assert rep.summary["max_ratio"] == 2 ** 64 - 1 and type(rep.summary["max_ratio"]) is int
-    assert rep.summary["median_ratio"] == 2 ** 53 + 1 and type(rep.summary["median_ratio"]) is int
+    rep.add(i=np.arange(2), ratio=np.array([0.5, 2.0]))
+    assert rep.finalize(peak=1).summary == {"n_records": 2, "peak": 1}
 
 
 def test_empty_report_writes_only_the_summary():
@@ -349,18 +338,23 @@ def test_jsonl_is_json_dumps_of_any_blocks(case):
     [
         lambda: bound_census(SCensusFamily(primes=(11, 13, 17))),
         lambda: bound_census(TCensusFamily(q1_primes=(5, 7, 11), q2_primes=(13,), m_max=5)),
+        lambda: bound_census(TCensusFamily(q1_primes=(5, 7, 11), q2_primes=(13,), m_max=5, diagonal=True)),
         lambda: l2_error_census([(3, 11), (3, 13)], [-1.0, -1.5]),
     ],
-    ids=["S", "T", "L2"],
+    ids=["S", "T", "T_diag", "L2"],
 )
 def test_census_jsonl_is_json_dumps_of_its_records(census):
     rep = census()
     rows = rep.records
-    ratios = sorted(r["ratio"] for r in rows)
     assert len(rep) == rep.summary["n_records"] == len(rows) > 0
+    assert rep.to_jsonl() == jsonl_reference(rep, rows)
+    # no row stores the ratio; the summary's are those of the written floats
+    written = [json.loads(line) for line in rep.to_jsonl().splitlines()[:-1]]
+    assert not any("ratio" in r for r in written)
+    num, den = ("error", "bound") if "error" in written[0] else ("abs_sum", "normalizer")
+    ratios = sorted(r[num] / r[den] for r in written)
     assert rep.summary["max_ratio"] == ratios[-1]
     assert rep.summary["median_ratio"] == ratios[len(ratios) // 2]
-    assert rep.to_jsonl() == jsonl_reference(rep, rows)
 
 
 def _census_like_report(blocks: int, rows: int = 512) -> ExperimentReport:
@@ -368,16 +362,11 @@ def _census_like_report(blocks: int, rows: int = 512) -> ExperimentReport:
     constant float column, distinct floats and constant fields."""
     rng = np.random.default_rng(3)
     n, h, m2 = (g.ravel()[:rows] for g in np.meshgrid(*[np.arange(1, 9)] * 3, indexing="ij"))
-    rep = ExperimentReport(
-        ["q1", "q2", "m1", "m2", "n", "h", "abs_sum", "normalizer", "ratio"], {"family": "demo"}
-    )
+    rep = ExperimentReport(["q1", "q2", "m1", "m2", "n", "h", "abs_sum", "normalizer"], {"family": "demo"})
     for b in range(blocks):
         abs_sum = rng.random(rows) * 300.0
         norm = np.full(rows, 143.0 / math.sqrt(1 + b % 4))
-        rep.add(
-            q1=11, q2=13 + b, m1=1 + b % 4, m2=m2, n=n, h=h,
-            abs_sum=abs_sum, normalizer=norm, ratio=abs_sum / norm,
-        )
+        rep.add(q1=11, q2=13 + b, m1=1 + b % 4, m2=m2, n=n, h=h, abs_sum=abs_sum, normalizer=norm)
     return rep.finalize()
 
 
