@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import numpy.fft  # at import: numpy 2 would load it at the first np.fft call
 
 from .errors import EmptyRange, InvalidDivisor, OutOfRange
 from .util import as_index

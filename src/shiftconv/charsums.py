@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.fft  # at import: numpy 2 would load it at the first np.fft call
 
 from .arith import PrimeModulus, is_prime, kloosterman_table, unit_inverses
 from .errors import InvalidDivisor, OutOfRange

@@ -1,8 +1,8 @@
 """Hecke eigenvalue tables.
 
 The degree-2 table holds lambda2(n) = a(n) / n^{(k-1)/2} for the weight-12
-level-1 holomorphic cusp form, whose integer coefficients a(n) come from the
-eta-product expansion
+level-1 holomorphic cusp form, n^{11/2} as n^2 n^2 n sqrt(n), not numpy's pow
+(whose SIMD kernels vary); a(n) comes from the eta-product expansion
 
     q * prod_{n>=1} (1 - q^n)^24 = q * (sum_k (-1)^k (2k+1) q^{k(k+1)/2})^8,
 
@@ -18,9 +18,10 @@ parameters,
     lam(1, p^s) = h_s h_s - h_{s+1} h_{s-1},
 
 where h_k = lam(p^k, 1) satisfies h_k = c(h_{k-1} - h_{k-2}) + h_{k-3} with
-c = lambda2(p)^2 - 1.  The first row lam(1, n) is a sieve over prime powers:
-for each prime p <= sqrt(N), one array product multiplies every multiple of p
-by lam(1, p^s), s its p-adic valuation; the primes above sqrt(N) divide each
+c = lambda2(p)^2 - 1, run as one array recurrence over every prime p <= N.
+The first row lam(1, n) is a sieve over prime powers: for each prime
+p <= sqrt(N), one array product multiplies every multiple of p by
+lam(1, p^s), s its p-adic valuation; the primes above sqrt(N) divide each
 n <= N at most once, and at most one of them does, so one array product
 covers all of them.
 
@@ -39,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.fft  # at import: numpy 2 would load it at the first np.fft call
 
 from .arith import factorize, primes_between
 from .errors import InsufficientBase, OutOfRange, UnsupportedWeight
@@ -156,7 +158,8 @@ def build_gl2_table(k: int, N: int) -> GL2CoefficientTable:
     N = as_index(N, "N")
     ints = weight12_integer_coefficients(N)
     ns = np.maximum(np.arange(N + 1, dtype=float), 1.0)  # ns[0] = 1 divides the dummy a(0)
-    values = np.array([float(a) for a in ints]) / ns ** ((k - 1) / 2.0)
+    n2 = ns * ns  # n^(11/2) by correctly rounded products and a root, not numpy's SIMD pow
+    values = np.array([float(a) for a in ints]) / (n2 * n2 * ns * np.sqrt(ns))
     values.setflags(write=False)
     return GL2CoefficientTable(N=N, values=values, integer_values=tuple(ints))
 
@@ -191,46 +194,41 @@ def sym2_local_expansion(lam_p: float, kmax: int) -> np.ndarray:
 
 
 def build_gl3_sym2_table(base: GL2CoefficientTable, N: int) -> GL3CoefficientTable:
-    """Symmetric-square lift table on m1 * m2 <= N."""
+    """Symmetric-square lift table on m1 * m2 <= N, from base.N and base.values."""
     N = as_index(N, "N")
     if N < 1:
         raise OutOfRange("need N >= 1")
     if base.N < N:
         raise InsufficientBase(f"base covers {base.N} < {N}")
-    # Multiplicative sieve, largest prime first: each first[n] multiplies its
-    # local factors onto 1.0 from the largest prime down; that order fixes rounding.
-    first = np.ones(N + 1)
-    primes, r = primes_between(2, N), math.isqrt(N)
-    small, big = [p for p in primes if p <= r], np.array([p for p in primes if p > r], dtype=np.intp)
-    # A prime above sqrt(N) divides each n <= N at most once, and no n has two
-    # of them, so all of them are one pass, taken first: lam(1, p) = h_1 h_1 - h_2 h_0
-    # with h_1 = c, h_2 = c (c - 1) + 0.0, as the recurrence below gives them.
-    # Every square is a product, which IEEE rounds correctly on any platform;
-    # Python's ** calls libm pow, whose last bit differs between libms.
-    lam_p = base.values[big]
+    # lam(1, p^s) at every prime p <= N and every s with 2^s <= N (and s = 1 at
+    # N = 1), h[k + 2, i] = h_k at p_i, by the recurrence in one array step per
+    # k: IEEE products and sums only, so the row is as portable as base.values.
+    primes = np.array(primes_between(2, N), dtype=np.intp)
+    lam_p = base.values[primes]
     c = lam_p * lam_p - 1.0
-    local = c * c - (c * (c - 1.0) + 0.0) * 1.0
+    h = np.zeros((max(N.bit_length() - 1, 1) + 4, primes.size))
+    h[2] = 1.0
+    for k in range(3, len(h)):
+        h[k] = c * (h[k - 1] - h[k - 2]) + h[k - 3]
+    local = h[3:-1] * h[3:-1] - h[4:] * h[2:-2]  # local[s - 1, i] = lam(1, p_i^s)
+    del h  # at N = 10^6 it is as large as local; the sieve reads only local
+    # Multiplicative sieve: each first[n] multiplies its local factors onto 1.0
+    # from the largest prime down, which fixes the rounding. A prime above sqrt(N)
+    # divides each n <= N at most once and no n has two, so they are one pass, first.
+    first, small = np.ones(N + 1), np.count_nonzero(primes <= math.isqrt(N))
+    big = primes[small:]
     counts = N // big
     rep = np.repeat(np.arange(big.size), counts)
     j = np.arange(rep.size) - (np.cumsum(counts) - counts)[rep] + 1  # j = 1 .. N // p for each p
-    first[big[rep] * j] *= local[rep]
-    for p in small[::-1]:
-        kmax = 1
-        while p ** kmax <= N:
-            kmax += 1
-        lam_p = base.lam(p)
-        c = lam_p * lam_p - 1.0
-        h = [0.0, 0.0, 1.0]  # h_{-2}, h_{-1}, h_0, then the recurrence up to h_kmax
-        for _ in range(kmax):
-            h.append(c * (h[-1] - h[-2]) + h[-3])
-        h = h[2:]
-        local = np.array([h[s] * h[s] - h[s + 1] * h[s - 1] for s in range(1, kmax)])  # lam(1, p^s)
+    first[big[rep] * j] *= local[0, small + rep]
+    for i in range(small)[::-1]:
+        p = int(primes[i])
         v = np.zeros(N // p, dtype=np.intp)  # v[j - 1] = ord_p(j), so p j has s = v + 1
         pk = p
         while pk <= N // p:
             v[pk - 1 :: pk] += 1
             pk *= p
-        first[p::p] *= local[v]
+        first[p::p] *= local[v, i]
     first.setflags(write=False)
     return GL3CoefficientTable(N=N, first_row=first)
 

@@ -1,8 +1,14 @@
-"""Coefficient-table tests: eta-product integers, Hecke structure, lift oracle."""
+"""Coefficient-table tests: eta-product integers, Hecke structure, lift oracle, pinned tables."""
 
 import functools
+import hashlib
+import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +19,8 @@ from oracles import gl3_first_row_by_primes, kronecker_delta_integers
 from shiftconv import coeffs
 from shiftconv.arith import primes_between
 from shiftconv.errors import InsufficientBase, OutOfRange, UnsupportedWeight
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # First integer coefficients of the weight-12 form (classical, hand-checkable
 # via a(mn) = a(m)a(n) for coprime m,n and a(p^2) = a(p)^2 - p^11).
@@ -60,6 +68,27 @@ def hecke_inequality_check(table, q1, m2):
     return lhs <= rhs + 1e-9 * (1.0 + abs(rhs))
 
 
+def random_base(seed, N):
+    """A GL(2) base of N + 1 values in [-2, 2], with 0, -0.0, +-1, +-2 and
+    sqrt(2) planted at random primes <= N; integer_values is empty."""
+    rng = random.Random(seed)
+    values = np.array([rng.uniform(-2.0, 2.0) for _ in range(N + 1)])
+    primes = primes_between(2, N)
+    planted = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, math.sqrt(2.0)]
+    for p, v in zip(rng.sample(primes, min(len(primes), len(planted))), planted):
+        values[p] = v
+    return coeffs.GL2CoefficientTable(N=N, values=values, integer_values=())
+
+
+class NoLamBase(coeffs.GL2CoefficientTable):
+    def lam(self, n):
+        raise AssertionError("the lift reads base.values, not base.lam")
+
+
+# N = p^2 - 1 and p^2 for p = 2, 3, 5, 7, then random N below 3000
+RANDOM_BASE_NS = [3, 4, 8, 9, 24, 25, 48, 49] + [random.Random(29).randrange(1, 3000) for _ in range(32)]
+
+
 def limb_values(limbs, bits):
     """The integers sum_k limbs[k] 2^(bits k) held column by column."""
     return [sum(int(d) << bits * k for k, d in enumerate(col)) for col in limbs.T]
@@ -82,6 +111,11 @@ def gl2():
 @pytest.fixture(scope="module")
 def gl2_50k():
     return coeffs.build_gl2_table(12, 50_000)
+
+
+@pytest.fixture(scope="module")
+def gl2_6000():
+    return coeffs.build_gl2_table(12, 6000)
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +362,30 @@ class TestGL3:
             c = v * v - 1.0
             assert row[p] == c * c - (c * (c - 1.0) + 0.0) * 1.0, p
 
+    def test_lift_reads_only_the_values(self, gl2):
+        base = NoLamBase(N=gl2.N, values=gl2.values, integer_values=gl2.integer_values)
+        got = coeffs.build_gl3_sym2_table(base, gl2.N).first_row
+        want = coeffs.build_gl3_sym2_table(gl2, gl2.N).first_row
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed, N", list(enumerate(RANDOM_BASE_NS)))
+    def test_random_base_is_bit_identical_to_the_prime_by_prime_sieve(self, seed, N):
+        base = random_base(seed, N)
+        got = coeffs.build_gl3_sym2_table(base, N).first_row
+        assert got.tobytes() == gl3_first_row_by_primes(base.values, N).tobytes()
+
+    def test_prime_powers_match_the_satake_expansion(self, gl2_6000):
+        # lam(1, p^s) = H_s H_s - H_{s+1} H_{s-1} at every p <= sqrt(N) and p^s <= N
+        N = 6000
+        row = coeffs.build_gl3_sym2_table(gl2_6000, N).first_row
+        for p in primes_between(2, math.isqrt(N)):
+            smax = 1
+            while p ** (smax + 1) <= N:
+                smax += 1
+            H = coeffs.sym2_local_expansion(float(gl2_6000.values[p]), smax + 1)
+            for s in range(1, smax + 1):
+                assert row[p ** s] == pytest.approx(H[s] * H[s] - H[s + 1] * H[s - 1], rel=0, abs=1e-9), (p, s)
+
     def test_insufficient_base(self, gl2):
         with pytest.raises(InsufficientBase):
             coeffs.build_gl3_sym2_table(gl2, gl2.N + 1)
@@ -346,6 +404,62 @@ class TestGL3:
         finally:
             tracemalloc.stop()
         assert held < 1.5 * table.first_row.nbytes
+
+
+# sha256 prefixes of the N = 6000 tables: a(n) as decimal text, lambda2 and the
+# GL(3) first row as float64 bytes
+GL_6000_SHA256 = {"integer_values": "91d6adfb9830c537", "values": "59a7281b3cdde019", "first_row": "bc3b75f0e7e75514"}
+
+# the N = 6000 table bytes, one file per part, written in a fresh interpreter
+# that first checks that none of the disabled SIMD features is in use
+GL_6000_CHILD = """
+import sys
+from pathlib import Path
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+from shiftconv import coeffs
+assert not any(umath.__cpu_features__[f] for f in sys.argv[2:])
+gl2 = coeffs.build_gl2_table(12, 6000)
+gl3 = coeffs.build_gl3_sym2_table(gl2, 6000)
+out = Path(sys.argv[1])
+(out / "integer_values").write_bytes(",".join(map(str, gl2.integer_values)).encode())
+(out / "values").write_bytes(gl2.values.tobytes())
+(out / "first_row").write_bytes(gl3.first_row.tobytes())
+"""
+
+
+def gl_6000_bytes(gl2):
+    gl3 = coeffs.build_gl3_sym2_table(gl2, 6000)
+    ints = ",".join(map(str, gl2.integer_values)).encode()
+    return {"integer_values": ints, "values": gl2.values.tobytes(), "first_row": gl3.first_row.tobytes()}
+
+
+def dispatched_features():
+    """The SIMD features numpy dispatches at run time that this CPU has."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+class TestPinnedTables:
+    def test_tables_at_6000_by_hash(self, gl2_6000):
+        got = {k: hashlib.sha256(b).hexdigest()[:16] for k, b in gl_6000_bytes(gl2_6000).items()}
+        assert got == GL_6000_SHA256
+
+    def test_tables_at_6000_without_simd_dispatch(self, gl2_6000, tmp_path):
+        # numpy picks SIMD kernels at run time; the tables must not depend on them
+        features = dispatched_features()
+        if not features:
+            pytest.skip("numpy dispatches no SIMD feature on this CPU")
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", GL_6000_CHILD, str(tmp_path), *features], env=env, check=True)
+        for name, want in gl_6000_bytes(gl2_6000).items():
+            assert (tmp_path / name).read_bytes() == want, (name, features)
 
 
 class TestRankinSelberg:

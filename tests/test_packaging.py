@@ -4,8 +4,10 @@ exists, and nothing public exists that only the tests call."""
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 from types import FunctionType
@@ -38,6 +40,15 @@ def test_docstring_submodules_import():
     assert names
     for name in names:
         importlib.import_module(f"shiftconv.{name}")
+
+
+def test_numpy_fft_loads_with_the_package():
+    # numpy 2 imports numpy.fft at the first np.fft access; loaded at import,
+    # it stays out of the first a(n), Kloosterman row or T call
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, shiftconv.circle; sys.exit('numpy.fft' not in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_dependencies_imported():
